@@ -9,14 +9,12 @@
 /// stealing, no task futures — one blocking parallel_for is all the radar
 /// pipeline needs.
 
+#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include <condition_variable>
 
 namespace bis {
 
@@ -24,8 +22,12 @@ class ThreadPool {
  public:
   /// A pool with @p n_threads total lanes of concurrency. The calling thread
   /// participates in parallel_for, so n_threads == 1 spawns no workers and
-  /// runs everything inline.
-  explicit ThreadPool(std::size_t n_threads);
+  /// runs everything inline. @p lane_init, when set, runs once on each
+  /// worker thread before it takes any work (e.g. sizing thread_local
+  /// scratch); the constructor returns only after every worker has run it,
+  /// and rethrows the first exception lane_init threw.
+  explicit ThreadPool(std::size_t n_threads,
+                      const std::function<void()>& lane_init = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -46,16 +48,21 @@ class ThreadPool {
   /// independent and writes its own slot, output is deterministic. The first
   /// exception thrown by any item is rethrown on the caller after the loop
   /// drains. Nested calls from inside a worker run inline (no deadlock).
+  /// Allocation-free once warm: loop states are pool-owned and recycled.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
  private:
+  /// One parallel_for in flight (defined in thread_pool.cpp).
+  struct Loop;
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::deque<std::function<void()>> tasks_;
+  Loop* pending_ = nullptr;  ///< FIFO of loops still wanting worker lanes.
+  Loop* spare_ = nullptr;    ///< Recycled loop states, ready for reuse.
   bool stop_ = false;
 };
 

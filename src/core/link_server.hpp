@@ -1,54 +1,42 @@
 #pragma once
 
 /// @file link_server.hpp
-/// Streaming multi-link server engine: N concurrent radar ⇄ tag links
-/// advanced by a staged pipeline over lock-free frame queues. Where
-/// LinkSimulator processes one frame of one link at a time, the LinkServer
-/// keeps every link's frames in flight simultaneously — the model of a radar
-/// basestation serving a deployment of IoT tags (paper §6 envisions many
-/// tags per radar) and the repo's throughput engine for large scenes.
+/// Multi-link server engine: N concurrent radar ⇄ tag links advanced
+/// link-parallel on a server-owned ThreadPool. Where LinkSimulator runs one
+/// frame of one link at a time, the LinkServer runs a whole deployment — the
+/// model of a radar basestation serving many IoT tags (paper §6 envisions
+/// many tags per radar) and the repo's throughput engine for large scenes.
 ///
-/// ## Pipeline
+/// ## Execution
 ///
-/// Each uplink frame advances through the LinkSimulator stage API:
+/// run(frames) is one parallel_for over links. A lane that claims link i
+/// advances it through all of its frames with the LinkSimulator stage API,
 ///
-///   synthesize → range_fft → if_correct → detect → decode → fold
+///   prepare → synthesize → range_fft → if_correct → detect → decode → fold
 ///
-/// Stage hand-offs go through bounded lock-free MPMC queues
-/// (common/frame_queue.hpp); a pool of workers (plus the caller's thread)
-/// pulls from the queues, preferring downstream stages so frames drain
-/// rather than pile up. Per link, two UplinkFrameJob buffers alternate
-/// (double buffering): frame k+1 synthesizes while frame k is still in the
-/// DSP stages, and every buffer is reused forever — the steady-state frame
-/// loop performs no heap allocation.
+/// stamping each stage's busy time into stats(). Each link owns one
+/// UplinkFrameJob whose buffers are reused forever, and the pool recycles
+/// its loop states, so the steady-state frame loop performs no heap
+/// allocation. A frame never waits in a queue between stages: queue wait
+/// is zero by construction.
 ///
 /// ## Determinism contract
 ///
 /// Per-link outputs (decoded bits, RunReport outcome counters) are
 /// bit-identical to running the same links frame-by-frame on one thread,
-/// regardless of worker count:
-///   - prepare+synthesize run strictly frame-ordered per link (a single
-///     synth token per link circulates, so the per-link RNG and modulator
-///     consume in sequential order);
-///   - the middle stages are pure per-frame maps (thread-local scratch is
-///     fully overwritten per call);
-///   - folds apply in frame order under a per-link flag, and only ever
-///     touch that link's simulator.
+/// regardless of worker count: each link owns its RNG, modulator and report
+/// and is only ever touched by the one lane running it, and the stages'
+/// thread-local scratch is fully overwritten per call.
 /// run_links_sequential() is the reference implementation tests compare
 /// against (tests/test_link_server.cpp).
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/frame_queue.hpp"
+#include "common/thread_pool.hpp"
 #include "core/link_simulator.hpp"
 #include "obs/server_stats.hpp"
 
@@ -59,7 +47,7 @@ struct LinkServerConfig {
                               ///< derived from base.seed and the link index.
   std::size_t n_links = 1;
   /// Worker lanes, including the calling thread: 1 = the caller does all the
-  /// work (no threads spawned), w > 1 spawns w−1 pipeline workers.
+  /// work (no threads spawned), w > 1 spawns w−1 pool workers.
   std::size_t workers = 1;
   std::size_t bits_per_frame = 8;   ///< Uplink payload bits per frame.
   std::uint64_t payload_seed = 0x5EEDull;  ///< Per-link payload streams.
@@ -73,11 +61,11 @@ struct LinkServerConfig {
 std::uint64_t link_seed(const LinkServerConfig& config, std::size_t link);
 
 /// Per-link SystemConfig: base with the derived seed, dsp_threads forced to
-/// 1 (inside the server, parallelism comes from the frame pipeline, not from
-/// nested per-stage pools), and the IF-correction grid pinned to the whole
-/// alphabet — grid_bins to the largest slot's FFT size and max_range_m to
-/// the smallest slot's unambiguous range (only where the base config leaves
-/// them at their derive-per-frame defaults). A pinned grid is identical for
+/// 1 (inside the server, parallelism comes from running links side by side,
+/// not from nested per-stage pools), and the IF-correction grid pinned to
+/// the whole alphabet — grid_bins to the largest slot's FFT size and
+/// max_range_m to the smallest slot's unambiguous range (only where the
+/// base config leaves them at their derive-per-frame defaults). A pinned grid is identical for
 /// every frame regardless of which CSSK slopes it draws, so the regrid-plan
 /// working set is one plan per alphabet slot and steady-state frames never
 /// miss the plan cache.
@@ -113,15 +101,17 @@ class LinkServer {
   LinkServer& operator=(const LinkServer&) = delete;
 
   /// Advance every link by @p frames_per_link uplink frames. Blocks until
-  /// the round completes; the calling thread works as a pipeline lane.
+  /// the round completes; the calling thread works as a lane. An exception
+  /// from a link (or from on_link_done) is rethrown here once the round's
+  /// other lanes have stopped.
   /// Callable repeatedly — link state (RNG, modulator, report) carries over,
   /// so two run(N) rounds equal one run(2N) equal 2N sequential frames.
   void run(std::size_t frames_per_link);
 
-  /// Streaming hook: invoked (from a worker thread) the moment a link's last
-  /// frame of the round folds, with that link's simulator quiescent. At most
-  /// one callback runs per link per round; distinct links may fire
-  /// concurrently. Set before run().
+  /// Streaming hook: invoked (from the lane that ran the link) the moment a
+  /// link's last frame of the round folds, with that link's simulator
+  /// quiescent. At most one callback runs per link per round; distinct links
+  /// may fire concurrently. Set before run().
   std::function<void(std::size_t link, const LinkSimulator& sim)> on_link_done;
 
   std::size_t n_links() const { return links_.size(); }
@@ -141,78 +131,27 @@ class LinkServer {
   /// All links' reports merged (outcome counters add; see RunReport::merge).
   obs::RunReport merged_report() const;
 
-  /// Per-stage frame counts, busy/queue-wait times, and peak queue depths.
+  /// Per-stage frame counts and busy times, and end-to-end frame latency.
   const obs::ServerStatsCollector& stats() const { return stats_; }
 
  private:
   struct LinkState {
     std::unique_ptr<LinkSimulator> sim;
-    std::array<UplinkFrameJob, 2> jobs;       ///< Double buffer, slot = frame&1.
-    std::array<std::atomic<bool>, 2> decode_done{};  ///< Slot decoded, awaiting
-                                                     ///< its in-order fold.
-    /// Join counter for the synth-token hand-off. Counts 1 + events fired
-    /// since the last token push; synth-done and previous-fold-done each add
-    /// one, and the event that observes the other already happened (old
-    /// value 1) subtracts both and pushes the next token. Starts at 1: the
-    /// "previous fold" of frame 0 is vacuously done.
-    std::atomic<int> ready{1};
-    std::atomic<bool> folding{false};  ///< At most one folder per link.
-    std::size_t prepared = 0;   ///< Frames prepared+synthesized this round
-                                ///< (owned by the synth-token holder).
-    std::size_t folded = 0;     ///< Frames folded this round (owned by the
-                                ///< folding-flag holder).
-    std::size_t target = 0;     ///< Frames to process this round.
+    UplinkFrameJob job;         ///< Every buffer a frame touches, reused.
     Rng payload_rng{0};
     phy::Bits frame_bits;       ///< Payload scratch, reused per frame.
     phy::Bits decoded_bits;     ///< Accumulated decoded bits (collect_bits).
-    std::uint64_t synth_enq_ns = 0;             ///< Telemetry stamps: queue
-    std::array<std::uint64_t, 2> enq_ns{};      ///< entry time per token/slot.
-    std::array<std::uint64_t, 2> frame_start_ns{};  ///< Synth-token enqueue
-                                ///< stamp per slot, kept until the fold so the
-                                ///< end-to-end frame latency can be recorded.
   };
 
-  /// Futex-free parking lot for idle workers: prepare/wait with an epoch
-  /// ticket, timed 1 ms waits bound any lost wakeup.
-  class EventCount {
-   public:
-    std::uint64_t prepare();
-    void cancel();
-    void wait(std::uint64_t ticket);
-    void notify_all();
-
-   private:
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<int> waiters_{0};
-    std::mutex mu_;
-    std::condition_variable cv_;
-  };
-
-  void worker_main();
-  bool process_one();
-  void run_synthesize(std::uint32_t link);
-  void run_stage(std::size_t stage, std::uint64_t token);
-  void complete_decode(std::size_t link, std::size_t slot);
-  void try_fold(std::size_t link);
-  void fire_ready(LinkState& st, std::size_t link);
-  void push_synth_token(std::size_t link);
-  void push_stage(std::size_t stage, std::size_t link, std::size_t slot);
-  void finish_link(std::size_t link);
-  void make_payload(LinkState& st);
+  static std::vector<std::unique_ptr<LinkState>> make_links(
+      const LinkServerConfig& config, const phy::SlopeAlphabet& alphabet);
+  void run_link(std::size_t link, std::size_t frames);
 
   LinkServerConfig config_;
   phy::SlopeAlphabet alphabet_;
   std::vector<std::unique_ptr<LinkState>> links_;
-  MpmcFrameQueue<std::uint32_t> q_synth_;  ///< Synth tokens: link ids.
-  /// Stage 1..4 input queues, tokens (link<<1)|slot. unique_ptr because the
-  /// rings are neither copyable nor movable (atomics pinned in place).
-  std::array<std::unique_ptr<MpmcFrameQueue<std::uint64_t>>, 4> q_;
   obs::ServerStatsCollector stats_;
-  EventCount ec_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> round_done_{true};
-  std::atomic<std::size_t> links_done_{0};
-  std::vector<std::thread> threads_;
+  ThreadPool pool_;  ///< Last member: its lanes join before the links go.
 };
 
 }  // namespace bis::core

@@ -59,8 +59,8 @@ struct IsacRunResult {
 
 /// One uplink frame flowing through the staged pipeline. The job owns every
 /// buffer the stages touch (inputs, per-stage intermediates, result), so a
-/// frame processed with warm capacities allocates nothing — the streaming
-/// LinkServer double-buffers two jobs per link and recycles them forever.
+/// frame processed with warm capacities allocates nothing — the LinkServer
+/// keeps one job per link and recycles it forever.
 struct UplinkFrameJob {
   // Inputs, filled by prepare_uplink_frame.
   phy::Bits sent_bits;
@@ -114,7 +114,7 @@ class LinkSimulator {
   IsacRunResult run_integrated(const phy::Bits& downlink_payload,
                                const phy::Bits& uplink_bits);
 
-  // ---- Streaming-engine stage API (used by core::LinkServer) ----
+  // ---- Stage API (used by core::LinkServer) ----
   //
   // An uplink frame advances prepare → synthesize → range_fft → if_correct
   // → detect → decode → fold. prepare/synthesize/fold mutate per-link state
@@ -143,9 +143,9 @@ class LinkSimulator {
   /// SystemConfig::if_correction — regrid plans) for every chirp in the
   /// alphabet, and grow the calling thread's thread_local DSP scratch to the
   /// worst-case chirp size. One dry pure pass per alphabet slot; touches no
-  /// RNG or report state. The streaming engine calls this from each pipeline
-  /// lane so steady-state frames never miss a plan cache, which would
-  /// allocate. Safe to call concurrently.
+  /// RNG or report state. The LinkServer calls this on each of its lanes so
+  /// steady-state frames never miss a plan cache, which would allocate.
+  /// Safe to call concurrently.
   void warm_caches() const;
 
   // ---- Analytic link quantities (benchmark axes) ----

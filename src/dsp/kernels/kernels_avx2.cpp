@@ -23,9 +23,14 @@ struct Avx2Ops {
 
   static V load(const double* p) { return _mm256_loadu_pd(p); }
   static V gather(const double* base, const std::uint32_t* idx) {
-    // Hardware gather: loads the same IEEE values as four scalar loads.
-    return _mm256_i32gather_pd(
-        base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8);
+    // Hardware gather: loads the same IEEE values as four scalar loads. The
+    // masked form with an all-ones mask gathers every lane exactly like
+    // _mm256_i32gather_pd, but names its pass-through source, which keeps
+    // GCC 12 from warning that the unmasked form's is uninitialized.
+    return _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), base,
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
   }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
   static V bcast(double x) { return _mm256_set1_pd(x); }

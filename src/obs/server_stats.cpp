@@ -48,19 +48,6 @@ void ServerStatsCollector::record(ServerStage stage, std::uint64_t wait_ns,
   }
 }
 
-void ServerStatsCollector::add_backpressure(ServerStage stage) {
-  cells_[static_cast<std::size_t>(stage)].backpressure.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-void ServerStatsCollector::observe_depth(ServerStage stage, std::uint64_t depth) {
-  auto& peak = cells_[static_cast<std::size_t>(stage)].max_depth;
-  std::uint64_t cur = peak.load(std::memory_order_relaxed);
-  while (depth > cur &&
-         !peak.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
-  }
-}
-
 std::uint64_t ServerStatsCollector::now_ns() {
   if (!enabled()) return 0;
   return static_cast<std::uint64_t>(
@@ -75,8 +62,6 @@ StageQueueStats ServerStatsCollector::snapshot(ServerStage stage) const {
   out.frames = c.frames.load(std::memory_order_relaxed);
   out.busy_ns = c.busy_ns.load(std::memory_order_relaxed);
   out.queue_wait_ns = c.queue_wait_ns.load(std::memory_order_relaxed);
-  out.max_depth = c.max_depth.load(std::memory_order_relaxed);
-  out.backpressure = c.backpressure.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -85,8 +70,6 @@ void ServerStatsCollector::reset() {
     c.frames.store(0, std::memory_order_relaxed);
     c.busy_ns.store(0, std::memory_order_relaxed);
     c.queue_wait_ns.store(0, std::memory_order_relaxed);
-    c.max_depth.store(0, std::memory_order_relaxed);
-    c.backpressure.store(0, std::memory_order_relaxed);
   }
   for (auto& h : wait_ns_) h.reset();
   for (auto& h : busy_ns_) h.reset();
@@ -114,9 +97,7 @@ void ServerStatsCollector::write_json(std::ostream& os) const {
     if (i != 0) os << ", ";
     os << "\"" << server_stage_name(stage) << "\": {\"frames\": " << s.frames
        << ", \"busy_ns\": " << s.busy_ns
-       << ", \"queue_wait_ns\": " << s.queue_wait_ns
-       << ", \"max_depth\": " << s.max_depth
-       << ", \"backpressure\": " << s.backpressure << ", \"busy_us\": ";
+       << ", \"queue_wait_ns\": " << s.queue_wait_ns << ", \"busy_us\": ";
     write_us_quantiles(os, busy_ns_[i]);
     os << ", \"wait_us\": ";
     write_us_quantiles(os, wait_ns_[i]);
@@ -133,16 +114,6 @@ void ServerStatsCollector::write_prometheus(std::ostream& os) const {
     os << "bis_server_stage_frames{stage=\""
        << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
        << snapshot(static_cast<ServerStage>(i)).frames << "\n";
-  os << "# TYPE bis_server_stage_max_depth gauge\n";
-  for (std::size_t i = 0; i < kServerStages; ++i)
-    os << "bis_server_stage_max_depth{stage=\""
-       << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
-       << snapshot(static_cast<ServerStage>(i)).max_depth << "\n";
-  os << "# TYPE bis_server_stage_backpressure counter\n";
-  for (std::size_t i = 0; i < kServerStages; ++i)
-    os << "bis_server_stage_backpressure{stage=\""
-       << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
-       << snapshot(static_cast<ServerStage>(i)).backpressure << "\n";
   const auto summary = [&os](const char* metric, const char* stage,
                              const LatencyHistogram& h) {
     static constexpr std::pair<const char*, double> kQ[] = {

@@ -1,15 +1,16 @@
 #pragma once
 
 /// @file server_stats.hpp
-/// Per-stage telemetry for the streaming LinkServer (core/link_server.hpp).
-/// Workers from many threads stamp each frame's queue wait and stage busy
-/// time into relaxed atomics; the collector snapshots them into a plain
-/// struct for reports and BENCH_server.json.
+/// Per-stage telemetry for the LinkServer (core/link_server.hpp). Lanes on
+/// many threads stamp each frame's stage busy time into relaxed atomics; the
+/// collector snapshots them into a plain struct for reports and
+/// BENCH_server.json. The LinkServer runs a frame's stages back to back on
+/// one lane, so the queue-wait it records is always zero.
 ///
-/// Cost model mirrors obs::StageTimer: frame counts and queue depths are
-/// always on (one relaxed RMW each); the nanosecond clock stamps only run
-/// while obs::enabled() — with telemetry off a stage record is two relaxed
-/// fetch_adds and no clock reads.
+/// Cost model mirrors obs::StageTimer: frame counts are always on (one
+/// relaxed RMW each); the nanosecond clock stamps only run while
+/// obs::enabled() — with telemetry off a stage record is one relaxed
+/// fetch_add and no clock reads.
 
 #include <array>
 #include <atomic>
@@ -21,7 +22,7 @@
 
 namespace bis::obs {
 
-/// The streaming pipeline's stages, in flow order. Kept in obs (not core) so
+/// The uplink frame's stages, in flow order. Kept in obs (not core) so
 /// report tooling needs no dependency on the engine.
 enum class ServerStage : std::size_t {
   kSynthesize = 0,
@@ -38,9 +39,6 @@ struct StageQueueStats {
   std::uint64_t frames = 0;         ///< Jobs this stage completed.
   std::uint64_t busy_ns = 0;        ///< Total time spent executing the stage.
   std::uint64_t queue_wait_ns = 0;  ///< Total time jobs sat queued before it.
-  std::uint64_t max_depth = 0;      ///< Peak observed queue depth.
-  std::uint64_t backpressure = 0;   ///< try_push calls that found the stage's
-                                    ///< input ring full.
 
   double mean_busy_us() const;
   double mean_queue_wait_us() const;
@@ -58,14 +56,8 @@ class ServerStatsCollector {
   /// Pass zeros when telemetry is disabled (the frame still counts).
   void record(ServerStage stage, std::uint64_t wait_ns, std::uint64_t busy_ns);
 
-  /// Record one frame's end-to-end latency: synth-token enqueue → fold done.
+  /// Record one frame's end-to-end latency: frame start → fold done.
   void record_e2e(std::uint64_t ns) { e2e_ns_.record(ns); }
-
-  /// Fold an observed depth of @p stage's input queue into the peak.
-  void observe_depth(ServerStage stage, std::uint64_t depth);
-
-  /// Count one failed push into @p stage's input ring (backpressure).
-  void add_backpressure(ServerStage stage);
 
   /// Monotonic nanosecond stamp, or 0 when telemetry is disabled — feed the
   /// difference of two stamps straight to record().
@@ -97,8 +89,6 @@ class ServerStatsCollector {
     std::atomic<std::uint64_t> frames{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> queue_wait_ns{0};
-    std::atomic<std::uint64_t> max_depth{0};
-    std::atomic<std::uint64_t> backpressure{0};
   };
   std::array<Cell, kServerStages> cells_;
   std::array<LatencyHistogram, kServerStages> wait_ns_;

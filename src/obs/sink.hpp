@@ -54,8 +54,8 @@ class TelemetrySink {
   TelemetrySink(const TelemetrySink&) = delete;
   TelemetrySink& operator=(const TelemetrySink&) = delete;
 
-  /// Include @p stats in every subsequent snapshot (per-stage latency
-  /// quantiles, queue depths, backpressure). The pointer must stay valid
+  /// Include @p stats in every subsequent snapshot (per-stage frame counts
+  /// and latency quantiles). The pointer must stay valid
   /// until detach_server_stats(). Attaching more than one collector is
   /// allowed; snapshots list them in attach order.
   void attach_server_stats(const ServerStatsCollector* stats);

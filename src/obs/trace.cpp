@@ -113,10 +113,19 @@ std::vector<TraceEvent> collect_trace() {
 void clear_trace() {
   Collector& c = collector();
   std::lock_guard<std::mutex> lock(c.mu);
+  std::size_t recorded = 0;
+  for (const auto& b : c.buffers) {
+    std::lock_guard<std::mutex> bl(b->mu);
+    recorded += b->events.size();
+  }
+  recorded = std::min(recorded, kMaxEventsPerThread);
   for (const auto& b : c.buffers) {
     std::lock_guard<std::mutex> bl(b->mu);
     b->events.clear();
     b->dropped = 0;
+    // Only the collector holds a finished thread's buffer; it records no
+    // more, so leave its capacity alone.
+    if (b.use_count() > 1) b->events.reserve(recorded);
   }
 }
 

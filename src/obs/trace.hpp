@@ -74,7 +74,11 @@ constexpr std::size_t kMaxEventsPerThread = 1u << 20;
 /// a parent precedes its children. Safe to call while other threads trace.
 std::vector<TraceEvent> collect_trace();
 
-/// Drop all recorded events and the drop counter (tests/benchmarks).
+/// Drop all recorded events and the drop counter (tests/benchmarks). Starts
+/// a new measurement window without steady-state allocation: every live
+/// thread's buffer keeps its capacity and grows it, once, to the number of
+/// events all threads recorded before the clear. A later window of the same
+/// work then never grows a buffer, however that work lands on threads.
 void clear_trace();
 
 /// Events discarded because a thread buffer hit kMaxEventsPerThread.

@@ -1,11 +1,13 @@
-// Streaming multi-link server engine: the determinism contract (per-link
-// outputs bit-identical to the sequential LinkSimulator at any worker
-// count), multi-round continuation, and the on_link_done streaming hook.
+// Multi-link server engine: the determinism contract (per-link outputs
+// bit-identical to the sequential LinkSimulator at any worker count),
+// multi-round continuation, and the on_link_done streaming hook.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/link_server.hpp"
@@ -15,7 +17,7 @@ namespace {
 
 /// Light OOK configuration: 2 bits/frame → 32 chirps/frame, small enough to
 /// run many links × worker counts in a unit test while still exercising the
-/// whole pipeline (synthesis with noise, range FFT, alignment, detection,
+/// whole frame path (synthesis with noise, range FFT, alignment, detection,
 /// decoding).
 LinkServerConfig light_config(std::size_t links, std::size_t workers) {
   LinkServerConfig cfg;
@@ -31,21 +33,27 @@ LinkServerConfig light_config(std::size_t links, std::size_t workers) {
 }
 
 TEST(LinkServer, MatchesSequentialAnyWorkerCount) {
-  const std::size_t kLinks = 6;
   const std::size_t kFrames = 3;
-  const auto reference =
-      run_links_sequential(light_config(kLinks, 1), kFrames);
-  ASSERT_EQ(reference.size(), kLinks);
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    LinkServer server(light_config(kLinks, workers));
+  struct Case {
+    std::size_t links;
+    std::size_t workers;
+  };
+  // 6 links at 1/2/4 workers, plus fewer links than workers (idle lanes).
+  for (const Case c : {Case{6, 1}, Case{6, 2}, Case{6, 4}, Case{1, 4},
+                       Case{2, 4}}) {
+    const auto reference =
+        run_links_sequential(light_config(c.links, 1), kFrames);
+    ASSERT_EQ(reference.size(), c.links);
+    LinkServer server(light_config(c.links, c.workers));
     server.run(kFrames);
-    for (std::size_t i = 0; i < kLinks; ++i) {
+    for (std::size_t i = 0; i < c.links; ++i) {
       EXPECT_EQ(server.link(i).report().outcome_key(),
                 reference[i].report.outcome_key())
-          << "link " << i << " with " << workers << " workers";
+          << "link " << i << " of " << c.links << " with " << c.workers
+          << " workers";
       EXPECT_EQ(server.decoded_bits(i), reference[i].decoded_bits)
-          << "link " << i << " with " << workers << " workers";
+          << "link " << i << " of " << c.links << " with " << c.workers
+          << " workers";
     }
   }
 }
@@ -86,6 +94,22 @@ TEST(LinkServer, StreamsReportsOnLinkDone) {
     EXPECT_EQ(fired[i], 1) << "link " << i;
     EXPECT_EQ(frames_at_callback[i], kFrames) << "link " << i;
   }
+}
+
+TEST(LinkServer, ThrowingLinkDoneIsRethrownFromRun) {
+  // The callback runs on whichever lane ran the link — a worker thread for
+  // most links — and its exception must reach run()'s caller instead of
+  // terminating the process; the server must then shut down cleanly.
+  const std::size_t kLinks = 8;
+  auto server = std::make_unique<LinkServer>(light_config(kLinks, 4));
+  std::atomic<int> calls{0};
+  server->on_link_done = [&](std::size_t, const LinkSimulator&) {
+    calls.fetch_add(1);
+    throw std::runtime_error("link done failed");
+  };
+  EXPECT_THROW(server->run(1), std::runtime_error);
+  EXPECT_GE(calls.load(), 1);
+  server.reset();
 }
 
 TEST(LinkServer, MergedReportAggregatesEveryLink) {

@@ -1,5 +1,5 @@
-// obs::ServerStatsCollector: per-stage accumulation, backpressure counting,
-// end-to-end latency histograms, snapshot/reset semantics, both export
+// obs::ServerStatsCollector: per-stage accumulation, end-to-end latency
+// histograms, snapshot/reset semantics, both export
 // formats, and lock-free recording from concurrent producer threads (this
 // suite is in the TSan matrix).
 
@@ -71,39 +71,23 @@ TEST_F(ServerStatsTest, TelemetryOffStampsDoNotPolluteHistograms) {
   EXPECT_EQ(c.busy_latency(ServerStage::kDetect).count(), 0u);
 }
 
-TEST_F(ServerStatsTest, BackpressureAndE2e) {
+TEST_F(ServerStatsTest, RecordE2e) {
   ServerStatsCollector c;
-  c.add_backpressure(ServerStage::kSynthesize);
-  c.add_backpressure(ServerStage::kSynthesize);
-  EXPECT_EQ(c.snapshot(ServerStage::kSynthesize).backpressure, 2u);
-  EXPECT_EQ(c.snapshot(ServerStage::kDecode).backpressure, 0u);
-
   c.record_e2e(1'000'000);
   c.record_e2e(2'000'000);
   EXPECT_EQ(c.e2e_latency().count(), 2u);
   EXPECT_DOUBLE_EQ(c.e2e_latency().mean(), 1.5e6);
 }
 
-TEST_F(ServerStatsTest, ObserveDepthKeepsPeak) {
-  ServerStatsCollector c;
-  c.observe_depth(ServerStage::kIfCorrect, 3);
-  c.observe_depth(ServerStage::kIfCorrect, 7);
-  c.observe_depth(ServerStage::kIfCorrect, 5);
-  EXPECT_EQ(c.snapshot(ServerStage::kIfCorrect).max_depth, 7u);
-}
-
 TEST_F(ServerStatsTest, ResetClearsEverything) {
   ServerStatsCollector c;
   c.record(ServerStage::kDecode, 10, 20);
-  c.add_backpressure(ServerStage::kDecode);
-  c.observe_depth(ServerStage::kDecode, 4);
   c.record_e2e(99);
   c.reset();
   const StageQueueStats s = c.snapshot(ServerStage::kDecode);
   EXPECT_EQ(s.frames, 0u);
   EXPECT_EQ(s.busy_ns, 0u);
-  EXPECT_EQ(s.backpressure, 0u);
-  EXPECT_EQ(s.max_depth, 0u);
+  EXPECT_EQ(s.queue_wait_ns, 0u);
   EXPECT_EQ(c.e2e_latency().count(), 0u);
   EXPECT_EQ(c.busy_latency(ServerStage::kDecode).count(), 0u);
 }
@@ -155,10 +139,7 @@ TEST_F(ServerStatsTest, ConcurrentProducersLoseNothing) {
     threads.emplace_back([&c] {
       for (int i = 0; i < kPerThread; ++i) {
         c.record(ServerStage::kRangeFft, 10, 100);
-        c.add_backpressure(ServerStage::kDecode);
         c.record_e2e(1000);
-        c.observe_depth(ServerStage::kRangeFft,
-                        static_cast<std::uint64_t>(i % 16));
       }
     });
   }
@@ -166,11 +147,8 @@ TEST_F(ServerStatsTest, ConcurrentProducersLoseNothing) {
   const StageQueueStats fft = c.snapshot(ServerStage::kRangeFft);
   EXPECT_EQ(fft.frames, static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(fft.busy_ns, static_cast<std::uint64_t>(kThreads) * kPerThread * 100);
-  EXPECT_EQ(c.snapshot(ServerStage::kDecode).backpressure,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(c.e2e_latency().count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(fft.max_depth, 15u);
 }
 
 }  // namespace

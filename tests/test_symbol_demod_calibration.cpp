@@ -152,5 +152,41 @@ TEST(Calibration, ClassificationUsesCalibratedTable) {
   EXPECT_GE(correct, trials - 1);
 }
 
+// The duration-matched classify_matched variant, a documented alternative
+// to the default period-indexed classifier.
+
+TEST(ClassifyMatched, SelectsSlotByDurationAndFrequency) {
+  // Three slots whose duration and frequency are linked (the CSSK
+  // invariant: Δf·T constant).
+  SymbolDemodConfig cfg;
+  cfg.sample_rate_hz = kFs;
+  cfg.slot_beat_freqs_hz = {30e3, 60e3, 120e3};
+  cfg.slot_durations_s = {160e-6, 80e-6, 40e-6};
+  SymbolDemod demod(cfg);
+
+  Rng rng(3);
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    const auto n_active =
+        static_cast<std::size_t>(cfg.slot_durations_s[slot] * kFs);
+    dsp::RVec period(100, 0.0);  // active part then idle
+    for (std::size_t i = 0; i < n_active && i < period.size(); ++i) {
+      const double t = static_cast<double>(i) / kFs;
+      period[i] = 0.5 + 0.5 * std::cos(kTwoPi * cfg.slot_beat_freqs_hz[slot] * t);
+    }
+    for (auto& v : period) v += rng.gaussian(0.0, 0.01);
+    const auto r = demod.classify_matched(period);
+    EXPECT_EQ(r.slot, slot) << slot;
+  }
+}
+
+TEST(ClassifyMatched, RequiresDurations) {
+  SymbolDemodConfig cfg;
+  cfg.sample_rate_hz = kFs;
+  cfg.slot_beat_freqs_hz = {30e3, 60e3};
+  SymbolDemod demod(cfg);
+  dsp::RVec x(50, 0.1);
+  EXPECT_THROW(demod.classify_matched(x), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace bis::tag

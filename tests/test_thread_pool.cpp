@@ -9,6 +9,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -112,6 +113,38 @@ TEST(ThreadPool, ExceptionPropagatesAfterShutdown) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareThePool) {
+  // Several threads queue loops on one pool at once: every loop must cover
+  // its range exactly once, whichever lanes claim it, and the recycled loop
+  // states must never leak one caller's work into another's.
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 3, kLoops = 200, kItems = 16;
+  std::vector<std::atomic<std::size_t>> sums(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t loop = 0; loop < kLoops; ++loop)
+        pool.parallel_for(0, kItems, [&](std::size_t i) {
+          sums[c].fetch_add(i + 1);
+        });
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c)
+    EXPECT_EQ(sums[c].load(), kLoops * kItems * (kItems + 1) / 2) << c;
+}
+
+TEST(ThreadPool, LaneInitRunsOnEveryWorkerBeforeConstructionReturns) {
+  std::atomic<int> inits{0};
+  ThreadPool pool(4, [&] { inits.fetch_add(1); });
+  EXPECT_EQ(inits.load(), 3);  // the three workers; the caller is not one
+}
+
+TEST(ThreadPool, LaneInitExceptionIsRethrownFromConstructor) {
+  EXPECT_THROW(ThreadPool(3, [] { throw std::runtime_error("init failed"); }),
+               std::runtime_error);
 }
 
 // --- Frame pipeline determinism ---------------------------------------------
