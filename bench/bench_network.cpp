@@ -137,8 +137,10 @@ bool detections_bit_identical(const radar::TagDetection& a,
 }
 
 /// Sequential per-tag reference: one single-target detector per tag, each
-/// call recomputing the whole frame's spectra. This is the normative path
-/// the batched bank is gated against.
+/// call recomputing the whole frame's spectra. detect() is a one-target
+/// detect_many call, so parity against it proves that batching rows into
+/// one bank never changes a tag's result, not agreement between two
+/// implementations (tests/test_detect_golden.cpp pins absolute values).
 std::vector<radar::TagDetection> detect_sequential(const Frame& frame,
                                                    std::size_t tags,
                                                    ThreadPool* pool) {

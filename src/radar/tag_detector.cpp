@@ -210,12 +210,12 @@ std::span<const double> spectrum_window(const TagDetectorConfig& config,
   return power;
 }
 
-/// Scores one range bin of one integration block against a signature bank —
-/// the shared inner body of detect_many and detect_slots. Row → tag mapping
-/// comes from @p tag_rows_p (n_tags+1 offsets, row indices relative to this
-/// block's rows); scores land in the tag-major [t·n_bins + b] blk matrices.
-/// Each call writes only bin @p b's slots, so concurrent calls on distinct
-/// bins never race.
+/// Scores one range bin of one chirp window against a signature bank.
+/// @p tag_rows_p holds the window's n_targets+1 offsets into the pass's row
+/// table (target t's rows are [tag_rows_p[t], tag_rows_p[t+1])); the bank's
+/// @p rows are that contiguous run. Scores land in the window's tag-major
+/// [t·n_bins + b] blk matrices. Each call writes only bin @p b's slots, so
+/// concurrent calls on distinct bins never race.
 void score_block_bin(const TagDetectorConfig& config,
                      const AlignedProfiles& profiles, std::size_t b,
                      std::size_t first, std::size_t count,
@@ -239,7 +239,7 @@ void score_block_bin(const TagDetectorConfig& config,
 
   std::size_t t = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    while (r >= tag_rows_p[t + 1]) ++t;
+    while (tag_rows_p[0] + r >= tag_rows_p[t + 1]) ++t;
     const std::size_t mod_bin = bank.mod_bin[r];
     double p = 0.0;
     for (long long k = static_cast<long long>(mod_bin) - 1;
@@ -258,9 +258,9 @@ void score_block_bin(const TagDetectorConfig& config,
   }
 }
 
-/// Per-tag detection epilogue shared by detect_many and detect_slots: peak
-/// pick on the fused metric, noise floor from the other bins' tone power,
-/// SNR threshold, sub-bin range refinement, and the obs gauges.
+/// Per-tag detection epilogue: peak pick on the fused metric, noise floor
+/// from the other bins' tone power, SNR threshold, sub-bin range
+/// refinement, and the obs gauges.
 void finalize_tag(const TagDetectorConfig& config,
                   const AlignedProfiles& profiles,
                   std::span<const double> metric_row,
@@ -316,18 +316,144 @@ void finalize_tag(const TagDetectorConfig& config,
       (peak.refined_index - static_cast<double>(peak.index)) * grid_step;
 }
 
-}  // namespace
+/// The one scoring pass behind detect_many and detect_slots. Each window
+/// names a chirp range [first_chirp, first_chirp+n_chirps) and the run of
+/// targets [first_target, first_target+n_targets) scored against it.
+/// detect_many's windows are its integration blocks, each covering every
+/// target; detect_slots' windows are its slots, each covering its own run.
+/// Results land in @p out, which the caller has already reset.
+void score_windows(const TagDetectorConfig& config,
+                   const AlignedProfiles& profiles,
+                   std::span<const SlotSpan> windows,
+                   std::span<const TagTarget> targets,
+                   std::span<TagDetection> out, ThreadPool* pool) {
+  const std::size_t n_bins = profiles.n_bins();
 
-std::span<const double> TagDetector::spectrum_into(
-    const AlignedProfiles& profiles, std::size_t bin, std::size_t first,
-    std::size_t count) const {
-  return spectrum_window(config_, profiles, bin, first, count);
+  // The frame's slow-time cadence is the first chirp's duration + idle, and
+  // under CSSK the slope draw perturbs that sum's last ULP — a different
+  // double per frame for the same physical cadence, which would mint a new
+  // signature-cache key (and rebuild the score bank) every call. Quantize to
+  // 1 ps: a pure function of the value, so scoring stays bit-identical
+  // across threads and call orders, and each physical cadence maps to one
+  // cache key.
+  const double chirp_period =
+      std::round(profiles.chirp_period_s * 1e12) / 1e12;
+
+  // Flatten every (target, candidate frequency) pair into one scoring row;
+  // tag_rows[t]..tag_rows[t+1] are target t's rows in candidate order, so a
+  // window's rows are the contiguous run of its targets' rows.
+  thread_local std::vector<double> row_freqs;
+  thread_local std::vector<std::size_t> tag_rows;
+  row_freqs.clear();
+  tag_rows.clear();
+  for (const TagTarget& target : targets) {
+    tag_rows.push_back(row_freqs.size());
+    std::span<const double> cands(target.candidate_mod_freqs_hz);
+    if (cands.empty())
+      cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
+    for (double f : cands) {
+      BIS_CHECK(f > 0.0);
+      row_freqs.push_back(f);
+    }
+  }
+  tag_rows.push_back(row_freqs.size());
+
+  // Window w's tag-major [t·n_bins + b] score matrices start at
+  // blk_first[w], t relative to the window's first target. Per-thread
+  // scratch: the streaming engine detects thousands of frames per second
+  // and every call fully overwrites it.
+  thread_local std::vector<std::size_t> blk_first;
+  blk_first.clear();
+  std::size_t blk_total = 0;
+  for (const SlotSpan& w : windows) {
+    blk_first.push_back(blk_total);
+    blk_total += w.n_targets * n_bins;
+  }
+  thread_local dsp::RVec blk_metric, blk_tone, blk_score;
+  blk_metric.assign(blk_total, 0.0);
+  blk_tone.assign(blk_total, 0.0);
+  blk_score.assign(blk_total, 0.0);
+
+  // Workers must use the *calling* thread's scratch: thread_local variables
+  // are not captured by lambdas — inside a pool worker they'd name that
+  // worker's own (empty) instances. Raw pointers pin the shared buffers;
+  // each (window, bin) item writes only its own slots, so there is no race.
+  // The signature bank is a per-worker thread_local memo: a frame scores the
+  // same rows in every block, and an inventory round the same channel plan
+  // in every slot, so each lane builds it once and then hits. Bank contents
+  // are a pure function of the key, so which lane runs which item cannot
+  // change any score.
+  const double* const row_freqs_p = row_freqs.data();
+  const std::size_t* const tag_rows_p = tag_rows.data();
+  const std::size_t* const blk_first_p = blk_first.data();
+  double* const blk_metric_p = blk_metric.data();
+  double* const blk_tone_p = blk_tone.data();
+  double* const blk_score_p = blk_score.data();
+
+  // Per-range-bin scores: the slow-time tone power at each candidate
+  // frequency, gated by the square-wave signature correlation and by tone
+  // *prominence* over the bin's own spectral floor (broadband clutter
+  // residue under CSSK slope variation is flat, a tag tone is not). The
+  // spectrum, its median floor, and its total non-DC power are computed
+  // once per (window, bin) and shared by every row — a pure map,
+  // bit-identical for any thread count.
+  bis::parallel_for(pool, 0, windows.size() * n_bins, [&](std::size_t item) {
+    const std::size_t w = item / n_bins;
+    const SlotSpan& win = windows[w];
+    const std::size_t* const rows_p = tag_rows_p + win.first_target;
+    const std::size_t rows = rows_p[win.n_targets] - rows_p[0];
+    const std::size_t n_fft = dsp::next_power_of_two(win.n_chirps) *
+                              config.slow_time_pad_factor;
+    const ScoreBank& bank = cached_bank(
+        std::span<const double>(row_freqs_p + rows_p[0], rows),
+        config.duty_cycle, win.n_chirps, chirp_period, n_fft,
+        config.n_harmonics);
+    const std::size_t off = blk_first_p[w];
+    score_block_bin(config, profiles, item % n_bins, win.first_chirp,
+                    win.n_chirps, bank, rows, rows_p, n_bins,
+                    blk_metric_p + off, blk_tone_p + off, blk_score_p + off);
+  });
+
+  // Fuse + epilogue, sequential in target order (metrics are recorded in the
+  // same order a sequential per-tag loop would record them). Under FSK the
+  // tag hops tones per symbol block, so a target sums the peak-normalised
+  // metric of every window covering it, in window order: the true tag bin
+  // scores in every block, a clutter-residue fluke rarely repeats. Tone
+  // power and signature score max-merge from zero.
+  thread_local dsp::RVec metric_row, tone_row, score_row;
+  metric_row.resize(n_bins);
+  tone_row.resize(n_bins);
+  score_row.resize(n_bins);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::fill(metric_row.begin(), metric_row.end(), 0.0);
+    std::fill(tone_row.begin(), tone_row.end(), 0.0);
+    std::fill(score_row.begin(), score_row.end(), 0.0);
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      const SlotSpan& win = windows[w];
+      if (t < win.first_target || t - win.first_target >= win.n_targets)
+        continue;
+      const std::size_t off = blk_first[w] + (t - win.first_target) * n_bins;
+      const std::span<const double> bm(blk_metric.data() + off, n_bins);
+      const double peak = *std::max_element(bm.begin(), bm.end());
+      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
+      dsp::kernels::kaxpy(norm, bm, metric_row);
+      for (std::size_t b = 0; b < n_bins; ++b) {
+        tone_row[b] = std::max(tone_row[b], blk_tone[off + b]);
+        score_row[b] = std::max(score_row[b], blk_score[off + b]);
+      }
+    }
+    // A target no window covers keeps a zero metric: finalize_tag leaves
+    // its detection empty.
+    finalize_tag(config, profiles, metric_row, tone_row, score_row, out[t]);
+  }
 }
+
+}  // namespace
 
 dsp::RVec TagDetector::slow_time_spectrum(const AlignedProfiles& profiles,
                                           std::size_t bin, std::size_t first,
                                           std::size_t count) const {
-  const auto s = spectrum_into(profiles, bin, first, count);
+  const auto s = spectrum_window(config_, profiles, bin, first, count);
   return dsp::RVec(s.begin(), s.end());
 }
 
@@ -357,113 +483,16 @@ void TagDetector::detect_many(const AlignedProfiles& profiles,
   if (targets.empty()) return;
   if (profiles.n_chirps() < 8 || profiles.n_bins() < 4) return;
 
-  const std::size_t n_tags = targets.size();
-  const std::size_t n_bins = profiles.n_bins();
-
-  // Flatten every (target, candidate frequency) pair into one scoring row;
-  // tag_rows[t]..tag_rows[t+1] are target t's rows in candidate order.
-  thread_local std::vector<double> row_freqs;
-  thread_local std::vector<std::size_t> tag_rows;
-  row_freqs.clear();
-  tag_rows.clear();
-  for (const TagTarget& target : targets) {
-    tag_rows.push_back(row_freqs.size());
-    std::span<const double> cands(target.candidate_mod_freqs_hz);
-    if (cands.empty())
-      cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
-    for (double f : cands) {
-      BIS_CHECK(f > 0.0);
-      row_freqs.push_back(f);
-    }
-  }
-  tag_rows.push_back(row_freqs.size());
-  const std::size_t rows = row_freqs.size();
-
-  // Under FSK the tag hops tones per symbol block, so integrate per block
-  // and sum the (normalized) per-block metrics: the true tag bin scores in
-  // every block, a clutter-residue fluke rarely repeats.
+  // One window per integration block (block_chirps; 0 = the whole frame),
+  // each covering every target; a trailing partial block is not scored.
   std::size_t block = config_.block_chirps;
   if (block == 0 || block > profiles.n_chirps()) block = profiles.n_chirps();
-  const std::size_t n_blocks = profiles.n_chirps() / block;
-
-  // The frame's slow-time cadence is the first chirp's duration + idle, and
-  // under CSSK the slope draw perturbs that sum's last ULP — a different
-  // double per frame for the same physical cadence, which would mint a new
-  // signature-cache key (and rebuild the score bank) every call. Quantize to
-  // 1 ps: a pure function of the value, so scoring stays bit-identical
-  // across threads and call orders, and each physical cadence maps to one
-  // cache key.
-  const double chirp_period =
-      std::round(profiles.chirp_period_s * 1e12) / 1e12;
-
-  // Tag-major [t·n_bins + b] accumulators and per-block scores, in
-  // per-thread scratch: the streaming engine detects thousands of frames per
-  // second and every call fully overwrites them.
-  thread_local dsp::RVec metric, tone_power, score;
-  thread_local dsp::RVec blk_metric, blk_tone, blk_score;
-  metric.assign(n_tags * n_bins, 0.0);
-  tone_power.assign(n_tags * n_bins, 0.0);
-  score.assign(n_tags * n_bins, 0.0);
-
-  for (std::size_t blk = 0; blk < n_blocks; ++blk) {
-    const std::size_t first = blk * block;
-    const std::size_t count = block;
-    const std::size_t n_fft =
-        dsp::next_power_of_two(count) * config_.slow_time_pad_factor;
-    const ScoreBank& bank =
-        cached_bank(row_freqs, config_.duty_cycle, count, chirp_period,
-                    n_fft, config_.n_harmonics);
-    blk_metric.assign(n_tags * n_bins, 0.0);
-    blk_tone.assign(n_tags * n_bins, 0.0);
-    blk_score.assign(n_tags * n_bins, 0.0);
-
-    // Workers must write into the *calling* thread's scratch: thread_local
-    // variables are not captured by lambdas — inside a pool worker they'd
-    // name that worker's own (empty) instances. Raw pointers pin the shared
-    // buffers; each bin writes only its own slots, so there is no race.
-    const std::size_t* const tag_rows_p = tag_rows.data();
-    double* const blk_metric_p = blk_metric.data();
-    double* const blk_tone_p = blk_tone.data();
-    double* const blk_score_p = blk_score.data();
-
-    // Per-range-bin scores: the slow-time tone power at each candidate
-    // frequency, gated by the square-wave signature correlation and by tone
-    // *prominence* over the bin's own spectral floor (broadband clutter
-    // residue under CSSK slope variation is flat, a tag tone is not). The
-    // spectrum, its median floor, and its total non-DC power are computed
-    // once per bin and shared by every row. Each bin's FFT and scoring is
-    // independent and writes only its own slots — a pure map, bit-identical
-    // for any thread count.
-    bis::parallel_for(pool, 0, n_bins, [&](std::size_t b) {
-      score_block_bin(config_, profiles, b, first, count, bank, rows,
-                      tag_rows_p, n_bins, blk_metric_p, blk_tone_p,
-                      blk_score_p);
-    });
-
-    for (std::size_t t = 0; t < n_tags; ++t) {
-      const std::span<const double> bm(blk_metric.data() + t * n_bins, n_bins);
-      const double peak = *std::max_element(bm.begin(), bm.end());
-      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
-      dsp::kernels::kaxpy(norm, bm,
-                          std::span<double>(metric.data() + t * n_bins, n_bins));
-      for (std::size_t b = 0; b < n_bins; ++b) {
-        tone_power[t * n_bins + b] =
-            std::max(tone_power[t * n_bins + b], blk_tone[t * n_bins + b]);
-        score[t * n_bins + b] =
-            std::max(score[t * n_bins + b], blk_score[t * n_bins + b]);
-      }
-    }
-  }
-
-  // Per-tag epilogue, sequential in tag order (metrics are recorded in the
-  // same order a sequential per-tag loop would record them).
-  for (std::size_t t = 0; t < n_tags; ++t) {
-    finalize_tag(config_, profiles,
-                 std::span<const double>(metric.data() + t * n_bins, n_bins),
-                 std::span<const double>(tone_power.data() + t * n_bins, n_bins),
-                 std::span<const double>(score.data() + t * n_bins, n_bins),
-                 out[t]);
-  }
+  thread_local std::vector<SlotSpan> windows;
+  windows.clear();
+  for (std::size_t first = 0; first + block <= profiles.n_chirps();
+       first += block)
+    windows.push_back({first, block, 0, targets.size()});
+  score_windows(config_, profiles, windows, targets, out, pool);
 }
 
 void TagDetector::detect_slots(const AlignedProfiles& profiles,
@@ -475,130 +504,29 @@ void TagDetector::detect_slots(const AlignedProfiles& profiles,
   BIS_CHECK(out.size() == targets.size());
   for (auto& det : out) det = TagDetection{};
   if (slots.empty()) return;
-  const std::size_t n_bins = profiles.n_bins();
-  if (n_bins < 4) return;
+  if (profiles.n_bins() < 4) return;
 
-  // Same 1 ps cadence quantization as detect_many — the signature-bank cache
-  // key must be a pure function of the physical cadence.
-  const double chirp_period =
-      std::round(profiles.chirp_period_s * 1e12) / 1e12;
-
-  // Flatten every slot's (target, candidate) pairs into one row table.
-  // Row/tag offsets are slot-relative so score_block_bin sees exactly the
-  // table detect_many would build for that slot's standalone frame. Slots
-  // shorter than 8 chirps (or with no targets) keep zeroed detections —
-  // mirroring detect_many's whole-frame guard.
-  struct SlotPlan {
-    std::size_t slot = 0;            ///< Index into slots.
-    std::size_t row_first = 0;       ///< Into row_freqs.
-    std::size_t rows = 0;
-    std::size_t tag_rows_first = 0;  ///< Into tag_rows.
-    std::size_t blk_first = 0;       ///< Into the blk score matrices.
-  };
-  thread_local std::vector<SlotPlan> plans;
-  thread_local std::vector<double> row_freqs;
-  thread_local std::vector<std::size_t> tag_rows;
-  plans.clear();
-  row_freqs.clear();
-  tag_rows.clear();
-  std::size_t blk_total = 0;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    const SlotSpan& slot = slots[s];
+  // Each slot is one window. Slots shorter than 8 chirps (or with no
+  // targets) keep empty detections — mirroring detect_many's whole-frame
+  // guard.
+  thread_local std::vector<SlotSpan> windows;
+  windows.clear();
+  std::size_t next_target = 0;
+  for (const SlotSpan& slot : slots) {
     BIS_CHECK(slot.first_chirp + slot.n_chirps <= profiles.n_chirps());
     BIS_CHECK(slot.first_target + slot.n_targets <= targets.size());
     // Each slot is one integration block: block_chirps must not split it.
     BIS_CHECK(config_.block_chirps == 0 ||
               config_.block_chirps >= slot.n_chirps);
-    if (slot.n_chirps < 8 || slot.n_targets == 0) continue;
-    SlotPlan plan;
-    plan.slot = s;
-    plan.row_first = row_freqs.size();
-    plan.tag_rows_first = tag_rows.size();
-    for (std::size_t t = 0; t < slot.n_targets; ++t) {
-      const TagTarget& target = targets[slot.first_target + t];
-      tag_rows.push_back(row_freqs.size() - plan.row_first);
-      std::span<const double> cands(target.candidate_mod_freqs_hz);
-      if (cands.empty())
-        cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
-      for (double f : cands) {
-        BIS_CHECK(f > 0.0);
-        row_freqs.push_back(f);
-      }
-    }
-    tag_rows.push_back(row_freqs.size() - plan.row_first);
-    plan.rows = row_freqs.size() - plan.row_first;
-    plan.blk_first = blk_total;
-    blk_total += slot.n_targets * n_bins;
-    plans.push_back(plan);
+    if (slot.n_targets == 0) continue;
+    // A target covered by two slots would fuse both windows into one
+    // detection (detect_many's cross-block semantics), not score each slot.
+    BIS_CHECK_MSG(slot.first_target >= next_target,
+                  "slot target runs must be ascending and disjoint");
+    next_target = slot.first_target + slot.n_targets;
+    if (slot.n_chirps >= 8) windows.push_back(slot);
   }
-  if (plans.empty()) return;
-
-  thread_local dsp::RVec blk_metric, blk_tone, blk_score;
-  blk_metric.assign(blk_total, 0.0);
-  blk_tone.assign(blk_total, 0.0);
-  blk_score.assign(blk_total, 0.0);
-
-  // Pin the calling thread's scratch for the workers (thread_local variables
-  // are not lambda-captured); each (slot, bin) item writes only its own
-  // slots of the blk matrices, so there is no race. The signature bank is a
-  // per-worker thread_local memo: an inventory round scores the same channel
-  // plan in every slot, so each lane builds it once and then hits. Bank
-  // contents are a pure function of the key, so which lane runs which slot
-  // cannot change any score.
-  const SlotPlan* const plans_p = plans.data();
-  const double* const row_freqs_p = row_freqs.data();
-  const std::size_t* const tag_rows_p = tag_rows.data();
-  double* const blk_metric_p = blk_metric.data();
-  double* const blk_tone_p = blk_tone.data();
-  double* const blk_score_p = blk_score.data();
-  const std::size_t n_plans = plans.size();
-
-  bis::parallel_for(pool, 0, n_plans * n_bins, [&](std::size_t item) {
-    const SlotPlan& plan = plans_p[item / n_bins];
-    const std::size_t b = item % n_bins;
-    const SlotSpan& slot = slots[plan.slot];
-    const std::size_t n_fft = dsp::next_power_of_two(slot.n_chirps) *
-                              config_.slow_time_pad_factor;
-    const ScoreBank& bank = cached_bank(
-        std::span<const double>(row_freqs_p + plan.row_first, plan.rows),
-        config_.duty_cycle, slot.n_chirps, chirp_period, n_fft,
-        config_.n_harmonics);
-    score_block_bin(config_, profiles, b, slot.first_chirp, slot.n_chirps,
-                    bank, plan.rows, tag_rows_p + plan.tag_rows_first, n_bins,
-                    blk_metric_p + plan.blk_first, blk_tone_p + plan.blk_first,
-                    blk_score_p + plan.blk_first);
-  });
-
-  // Per-slot fuse + epilogue, sequential in (slot, tag) order — the same
-  // single-block fusion ops detect_many runs (metric starts at zero and
-  // accumulates norm·blk via kaxpy; tone/score max-merge from zero), so the
-  // results are bit-identical to per-slot detect_many calls.
-  thread_local dsp::RVec metric_row, tone_row, score_row;
-  metric_row.resize(n_bins);
-  tone_row.resize(n_bins);
-  score_row.resize(n_bins);
-  for (const SlotPlan& plan : plans) {
-    const SlotSpan& slot = slots[plan.slot];
-    for (std::size_t t = 0; t < slot.n_targets; ++t) {
-      const std::span<const double> bm(
-          blk_metric.data() + plan.blk_first + t * n_bins, n_bins);
-      const std::span<const double> bt(
-          blk_tone.data() + plan.blk_first + t * n_bins, n_bins);
-      const std::span<const double> bs(
-          blk_score.data() + plan.blk_first + t * n_bins, n_bins);
-      const double peak = *std::max_element(bm.begin(), bm.end());
-      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
-      std::fill(metric_row.begin(), metric_row.end(), 0.0);
-      dsp::kernels::kaxpy(norm, bm,
-                          std::span<double>(metric_row.data(), n_bins));
-      for (std::size_t b = 0; b < n_bins; ++b) {
-        tone_row[b] = std::max(0.0, bt[b]);
-        score_row[b] = std::max(0.0, bs[b]);
-      }
-      finalize_tag(config_, profiles, metric_row, tone_row, score_row,
-                   out[slot.first_target + t]);
-    }
-  }
+  score_windows(config_, profiles, windows, targets, out, pool);
 }
 
 }  // namespace bis::radar

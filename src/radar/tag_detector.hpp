@@ -75,7 +75,7 @@ struct TagTarget {
 /// chirps [first_chirp, first_chirp+n_chirps) of the AlignedProfiles form
 /// the slot's slow-time integration window, and the slot's scoring targets
 /// (and result rows) are out[first_target .. first_target+n_targets).
-/// Target ranges of different slots must not overlap.
+/// Slots' target ranges must be ascending and must not overlap (checked).
 struct SlotSpan {
   std::size_t first_chirp = 0;
   std::size_t n_chirps = 0;
@@ -88,20 +88,22 @@ class TagDetector {
   explicit TagDetector(const TagDetectorConfig& config);
 
   /// Detect and localize the tag in an aligned (and typically
-  /// background-subtracted) frame. Thin wrapper over detect_many with the
-  /// single target taken from the config — one call per tag is the normative
-  /// reference the batched path is gated against.
+  /// background-subtracted) frame. A one-target detect_many call with the
+  /// target taken from the config.
   TagDetection detect(const AlignedProfiles& profiles,
                       ThreadPool* pool = nullptr) const;
 
   /// Batched multi-tag detection: compute each range bin's slow-time power
-  /// spectrum ONCE per block (fanned across @p pool; nullptr = inline) and
-  /// score every target's modulation comb against it with the
-  /// kernels::ktagscore signature bank. Writes targets.size() detections
-  /// into @p out (same order). Per-tag results are bit-identical to calling
-  /// detect() once per target with that target's frequencies, at any tag
-  /// count, thread count, and SIMD target: the spectrum/score math per
-  /// (bin, row) is the same IEEE operations in the same order, and each bin
+  /// spectrum ONCE per integration block and score every target's
+  /// modulation comb against it with the kernels::ktagscore signature bank;
+  /// each target fuses its per-block metrics. Writes targets.size()
+  /// detections into @p out (same order). detect, detect_many and
+  /// detect_slots share one scoring pass: one flat map over every
+  /// (block, range bin) fanned across @p pool (nullptr = inline), then a
+  /// sequential per-target fuse. Per-tag results are bit-identical to a
+  /// one-target call with that target's frequencies, at any tag count,
+  /// thread count, and SIMD target: each (block, bin, row) score is the same
+  /// IEEE operations whatever else shares the bank, and each work item
   /// writes only its own slots of the score matrices.
   void detect_many(const AlignedProfiles& profiles,
                    std::span<const TagTarget> targets,
@@ -114,17 +116,19 @@ class TagDetector {
 
   /// Batched multi-slot detection over one concatenated slow-time frame:
   /// each SlotSpan names a chirp window (one MAC slot's integration block)
-  /// and the contiguous run of @p targets scored against it. All
-  /// (slot, range-bin) spectra fan across @p pool as one flat map, so a
-  /// round's worth of slots costs one parallel pass instead of one
-  /// detect_many call per slot. Per-slot results are bit-identical to
-  /// calling detect_many on a standalone AlignedProfiles holding just that
-  /// slot's rows: the windowed spectrum, the signature bank, and the
-  /// fuse/epilogue path run the same IEEE operations in the same order,
-  /// and each (slot, bin) work item writes only its own score slots.
-  /// Slots are single integration blocks — config block_chirps must be 0 or
-  /// ≥ every slot's n_chirps. Slots shorter than 8 chirps yield empty
-  /// detections (the same guard detect_many applies to whole frames).
+  /// and the contiguous run of @p targets scored against it. It is the same
+  /// scoring pass as detect_many with the slots as its windows, so a
+  /// round's worth of slots costs one parallel pass over every
+  /// (slot, range bin) instead of one detect_many call per slot. Per-slot
+  /// results are bit-identical to calling detect_many on a standalone
+  /// AlignedProfiles holding just that slot's rows: the windowed column read
+  /// touches only the slot's chirps, and a target covered by one window
+  /// fuses exactly as a single-block frame does. Slots are single
+  /// integration blocks — config block_chirps must be 0 or ≥ every slot's
+  /// n_chirps — and their target runs must be ascending and disjoint
+  /// (std::invalid_argument otherwise). Slots shorter than 8 chirps yield
+  /// empty detections (the same guard detect_many applies to whole
+  /// frames).
   void detect_slots(const AlignedProfiles& profiles,
                     std::span<const SlotSpan> slots,
                     std::span<const TagTarget> targets,
@@ -140,12 +144,6 @@ class TagDetector {
   const TagDetectorConfig& config() const { return config_; }
 
  private:
-  /// slow_time_spectrum into per-thread scratch; the returned span is valid
-  /// until the next call on the same thread.
-  std::span<const double> spectrum_into(const AlignedProfiles& profiles,
-                                        std::size_t bin, std::size_t first,
-                                        std::size_t count) const;
-
   TagDetectorConfig config_;
   TagTarget self_target_;  ///< detect()'s single target, built once.
 };

@@ -1,7 +1,12 @@
-// Batched multi-tag detection (TagDetector::detect_many): bitwise parity
-// with the normative per-tag detect() reference at every pool width, SIMD
-// target, and numeric tier, plus the modulation-frequency collision counter
-// used by BiScatterNetwork.
+// Batched multi-tag detection (TagDetector::detect_many), plus the
+// modulation-frequency collision counter used by BiScatterNetwork.
+//
+// detect() is a one-target detect_many call, so the parity tests here do not
+// compare two implementations. What they prove: batching rows into one bank
+// leaves each target's result bit-identical to a one-target call (at every
+// pool width, SIMD target and numeric tier, for whole-frame and multi-block
+// FSK integration), and results do not depend on the thread count. Pinned
+// absolute values live in test_detect_golden.cpp.
 
 #include <gtest/gtest.h>
 
@@ -34,13 +39,18 @@ rf::ChirpParams fixed_chirp() {
   return c;
 }
 
+constexpr std::size_t kHopChirps = 64;  ///< FSK symbol length in chirps.
+
 struct SceneTag {
   double range_m;
   double mod_freq_hz;  ///< 0 = static reflector (never switches).
+  std::vector<double> hop_hz = {};  ///< FSK: tone per kHopChirps-chirp block,
+                                    ///< cycling; overrides mod_freq_hz.
 };
 
 /// A frame with several square-wave tags plus static clutter. Each tag
-/// toggles between full and residual amplitude on its own frequency.
+/// toggles between full and residual amplitude on its own frequency (or,
+/// under FSK, on its current block's tone).
 AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
                            std::uint64_t seed, std::size_t n_chirps = 256) {
   IfSynthConfig cfg;
@@ -54,12 +64,12 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
     const double t = static_cast<double>(m) * kPeriod;
     std::vector<IfReturn> rets = {{1.3, 2e-4, 0.1}, {4.2, 8e-5, 1.0}};
     for (const SceneTag& tag : tags) {
+      const double f =
+          tag.hop_hz.empty()
+              ? tag.mod_freq_hz
+              : tag.hop_hz[(m / kHopChirps) % tag.hop_hz.size()];
       bool on = true;
-      if (tag.mod_freq_hz > 0.0) {
-        const double ph =
-            t * tag.mod_freq_hz - std::floor(t * tag.mod_freq_hz);
-        on = ph < 0.5;
-      }
+      if (f > 0.0) on = t * f - std::floor(t * f) < 0.5;
       rets.push_back({tag.range_m, on ? 2e-5 : 4e-7, 0.0});
     }
     profiles.push_back(proc.process(synth.synthesize(chirp, rets), chirp, kFs));
@@ -90,20 +100,23 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
   return ::testing::AssertionSuccess();
 }
 
-TagDetectorConfig config_for(double freq, dsp::Precision precision) {
+TagDetectorConfig config_for(double freq, dsp::Precision precision,
+                             std::size_t block_chirps = 0) {
   TagDetectorConfig cfg;
   cfg.expected_mod_freq_hz = freq;
   cfg.precision = precision;
+  cfg.block_chirps = block_chirps;
   return cfg;
 }
 
-/// Normative reference: a fresh single-tag detector per target, inline.
+/// Per-tag reference: a fresh single-tag detector per target, inline.
 std::vector<TagDetection> sequential_reference(
     const AlignedProfiles& aligned, const std::vector<TagTarget>& targets,
-    dsp::Precision precision) {
+    dsp::Precision precision, std::size_t block_chirps = 0) {
   std::vector<TagDetection> out;
   for (const TagTarget& t : targets) {
-    TagDetectorConfig cfg = config_for(t.expected_mod_freq_hz, precision);
+    TagDetectorConfig cfg =
+        config_for(t.expected_mod_freq_hz, precision, block_chirps);
     cfg.candidate_mod_freqs_hz = t.candidate_mod_freqs_hz;
     out.push_back(TagDetector(cfg).detect(aligned));
   }
@@ -129,33 +142,58 @@ std::vector<dsp::kernels::SimdTarget> available_targets() {
 }  // namespace
 
 TEST_F(DetectMany, BitwiseParityAcrossThreadsTargetsAndTiers) {
-  const std::vector<SceneTag> scene = {
-      {2.0, 700.0}, {3.1, 1100.0}, {5.2, 1500.0}, {6.4, 2100.0}};
-  const auto aligned = make_frame(scene, 41);
-  std::vector<TagTarget> targets;
-  for (const SceneTag& t : scene) targets.push_back({t.mod_freq_hz, {}});
+  // Fixed tones integrated over the whole frame, and FSK tags hopping tones
+  // per 64-chirp symbol, integrated per block and fused across four blocks.
+  struct Case {
+    const char* name;
+    std::vector<SceneTag> scene;
+    std::size_t block_chirps;
+  };
+  const Case cases[] = {
+      {"whole frame",
+       {{2.0, 700.0}, {3.1, 1100.0}, {5.2, 1500.0}, {6.4, 2100.0}},
+       0},
+      {"fsk blocks",
+       {{2.0, 0.0, {700.0, 1300.0, 700.0, 1300.0}},
+        {3.1, 0.0, {1900.0, 1000.0, 1000.0, 1900.0}},
+        {5.2, 0.0, {1600.0, 2400.0, 2400.0, 1600.0}}},
+       kHopChirps},
+  };
 
-  for (dsp::Precision prec :
-       {dsp::Precision::kDoubleStrict, dsp::Precision::kFloat32Fast}) {
-    SCOPED_TRACE(prec == dsp::Precision::kDoubleStrict ? "double_strict"
-                                                       : "float32_fast");
-    for (dsp::kernels::SimdTarget t : available_targets()) {
-      ASSERT_TRUE(dsp::kernels::set_target(t));
-      SCOPED_TRACE(dsp::kernels::target_name(t));
-      const auto ref = sequential_reference(aligned, targets, prec);
-      ASSERT_TRUE(ref[0].found && ref[1].found && ref[2].found &&
-                  ref[3].found);
-      const TagDetector det(config_for(targets[0].expected_mod_freq_hz, prec));
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ThreadPool pool(threads);
-        const auto got = det.detect_many(aligned, targets,
-                                         threads > 1 ? &pool : nullptr);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          SCOPED_TRACE("tag=" + std::to_string(i));
-          EXPECT_TRUE(det_bits_eq(got[i], ref[i]));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto aligned = make_frame(c.scene, 41);
+    std::vector<TagTarget> targets;
+    for (const SceneTag& t : c.scene) {
+      if (t.hop_hz.empty())
+        targets.push_back({t.mod_freq_hz, {}});
+      else
+        targets.push_back({t.hop_hz[0], {t.hop_hz[0], t.hop_hz[1]}});
+    }
+
+    for (dsp::Precision prec :
+         {dsp::Precision::kDoubleStrict, dsp::Precision::kFloat32Fast}) {
+      SCOPED_TRACE(prec == dsp::Precision::kDoubleStrict ? "double_strict"
+                                                         : "float32_fast");
+      for (dsp::kernels::SimdTarget t : available_targets()) {
+        ASSERT_TRUE(dsp::kernels::set_target(t));
+        SCOPED_TRACE(dsp::kernels::target_name(t));
+        const auto ref =
+            sequential_reference(aligned, targets, prec, c.block_chirps);
+        for (const TagDetection& r : ref) ASSERT_TRUE(r.found);
+        const TagDetector det(config_for(targets[0].expected_mod_freq_hz,
+                                         prec, c.block_chirps));
+        for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          ThreadPool pool(threads);
+          const auto got = det.detect_many(aligned, targets,
+                                           threads > 1 ? &pool : nullptr);
+          ASSERT_EQ(got.size(), ref.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE("tag=" + std::to_string(i));
+            EXPECT_TRUE(det_bits_eq(got[i], ref[i]));
+          }
         }
       }
     }

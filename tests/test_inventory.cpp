@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/inventory.hpp"
@@ -190,6 +191,35 @@ TEST(InventoryDetect, DetectSlotsBitwiseMatchesStandaloneSlots) {
           << "slot " << s << " ch " << c;
     }
   }
+}
+
+// Slot target runs must be ascending and disjoint: a target covered by two
+// slots would otherwise fuse both windows into one detection.
+TEST(InventoryDetect, DetectSlotsRejectsOverlappingTargetRuns) {
+  const SystemConfig base = small_base();
+  const auto alphabet = base.make_alphabet();
+  const auto plan = assign_mod_frequencies(4, base.radar.chirp_period_s);
+  const std::size_t m = 64;
+  SlotFrameAssembler assembler(slot_frame_config(base, alphabet, m));
+  const radar::TagDetector detector(detector_config(plan[0]));
+  const SlotResponder solo = responder(0, 0, plan[0], 2.0,
+                                       tag_backscatter_amplitude(base, 2.0),
+                                       0.25);
+  const std::vector<SlotJob> jobs = {{0, {&solo, 1}}, {1, {&solo, 1}}};
+  const auto& aligned = assembler.assemble(jobs, 0, nullptr);
+  std::vector<radar::TagTarget> targets;
+  for (std::size_t i = 0; i < 2; ++i)
+    for (double f : plan) targets.push_back({f, {}});
+  std::vector<radar::TagDetection> out(targets.size());
+
+  const std::vector<radar::SlotSpan> overlapping = {{0, m, 0, 4}, {m, m, 2, 4}};
+  EXPECT_THROW(detector.detect_slots(aligned, overlapping, targets, out),
+               std::invalid_argument);
+  const std::vector<radar::SlotSpan> descending = {{0, m, 4, 4}, {m, m, 0, 4}};
+  EXPECT_THROW(detector.detect_slots(aligned, descending, targets, out),
+               std::invalid_argument);
+  const std::vector<radar::SlotSpan> disjoint = {{0, m, 0, 4}, {m, m, 4, 4}};
+  EXPECT_NO_THROW(detector.detect_slots(aligned, disjoint, targets, out));
 }
 
 InventoryConfig small_inventory() {
