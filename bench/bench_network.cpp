@@ -40,9 +40,7 @@
 #include "radar/if_synthesizer.hpp"
 #include "radar/range_align.hpp"
 #include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
 #include "radar/tag_detector.hpp"
-#include "rf/link_budget.hpp"
 
 namespace {
 
@@ -72,22 +70,13 @@ Frame make_frame(std::size_t max_tags) {
 
   // Scene: office clutter plus kPhysicalTags beaconing tags on the first
   // assigned frequencies, ranges spread across the office.
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  std::vector<radar::IfReturn> returns;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    returns.push_back(
-        {spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
+  std::vector<radar::IfReturn> returns = core::clutter_returns(base);
   const std::size_t n_clutter = returns.size();
   const std::size_t n_phys = std::min(kPhysicalTags, max_tags);
   std::vector<double> tag_amp(n_phys);
   for (std::size_t i = 0; i < n_phys; ++i) {
     const double range_m = 1.5 + 0.6 * static_cast<double>(i);
-    tag_amp[i] = std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
-        base.radar.rf, base.tag.rf, range_m, f_c)));
+    tag_amp[i] = core::tag_backscatter_amplitude(base, range_m);
     returns.push_back({range_m, 0.0, 0.37 * static_cast<double>(i)});
   }
   const double reflect =

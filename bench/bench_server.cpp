@@ -81,7 +81,6 @@ using Clock = std::chrono::steady_clock;
 /// gates) — the acceptance check that export works under real server load.
 constexpr const char* kSmokeJsonl = "bench_server_metrics.jsonl";
 constexpr const char* kSmokeProm = "bench_server_metrics.prom";
-bool g_smoke_export = false;
 
 /// Light OOK link: 2 bits/frame → 32 chirps/frame. Small enough to hold
 /// 2×1024 frames in flight, heavy enough that every stage does real DSP.
@@ -95,11 +94,6 @@ core::LinkServerConfig server_config(std::size_t links, std::size_t workers) {
   cfg.n_links = links;
   cfg.workers = workers;
   cfg.bits_per_frame = 2;
-  if (g_smoke_export) {
-    cfg.base.telemetry_export.jsonl_path = kSmokeJsonl;
-    cfg.base.telemetry_export.prom_path = kSmokeProm;
-    cfg.base.telemetry_export.interval_ms = 100;
-  }
   return cfg;
 }
 
@@ -458,7 +452,11 @@ int main(int argc, char** argv) {
     // determinism diff vs the sequential reference (streaming JSONL +
     // Prometheus snapshots the whole time), the steady-state allocation
     // assert with telemetry still enabled, then export validation.
-    g_smoke_export = true;
+    obs::TelemetrySinkOptions sink_opts;
+    sink_opts.jsonl_path = kSmokeJsonl;
+    sink_opts.prom_path = kSmokeProm;
+    sink_opts.interval_ms = 100;
+    obs::TelemetrySink::ensure_global(sink_opts);
     const bool deterministic = check_determinism(/*links=*/64, /*frames=*/2);
     {
       // Final sample must carry server stats: stop the sink while a server

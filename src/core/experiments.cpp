@@ -4,30 +4,17 @@
 #include "common/stats.hpp"
 
 namespace bis::core {
-namespace {
-
-/// Build the per-point simulator, reusing a precomputed alphabet when the
-/// sweep runner supplies one (guaranteed copy elision per branch).
-LinkSimulator make_simulator(const SystemConfig& config,
-                             const phy::SlopeAlphabet* shared_alphabet) {
-  if (shared_alphabet != nullptr) return LinkSimulator(config, *shared_alphabet);
-  return LinkSimulator(config);
-}
-
-}  // namespace
 
 BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_bits,
                                     std::size_t payload_bits) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0xD47Aull);
-  return measure_downlink_ber(config, min_bits, payload_bits, nullptr, data_rng);
+  return measure_downlink_ber(sim, min_bits, payload_bits, data_rng);
 }
 
-BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_bits,
-                                    std::size_t payload_bits,
-                                    const phy::SlopeAlphabet* shared_alphabet,
-                                    Rng& data_rng) {
+BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
+                                    std::size_t payload_bits, Rng& data_rng) {
   BIS_CHECK(min_bits >= payload_bits);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
 
   phy::ErrorCounter counter;
@@ -46,23 +33,21 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_
   m.bits = counter.total();
   m.ber = counter.rate();
   m.ber_upper95 = counter.wilson_upper_95();
-  m.envelope_snr_db = sim.downlink_envelope_snr_db(config.tag_range_m);
+  m.envelope_snr_db = sim.downlink_envelope_snr_db(sim.config().tag_range_m);
   return m;
 }
 
 UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0x1BADull);
-  return measure_uplink(config, frames, bits_per_frame, downlink_active, nullptr,
-                        data_rng);
+  return measure_uplink(sim, frames, bits_per_frame, downlink_active, data_rng);
 }
 
-UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
+UplinkMeasurement measure_uplink(LinkSimulator& sim, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active,
-                                 const phy::SlopeAlphabet* shared_alphabet,
                                  Rng& data_rng) {
   BIS_CHECK(frames >= 1 && bits_per_frame >= 1);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
 
   UplinkMeasurement m;
@@ -93,16 +78,14 @@ UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
 LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              std::size_t frames,
                                              bool downlink_active) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0x10Cull);
-  return measure_localization(config, frames, downlink_active, nullptr, data_rng);
+  return measure_localization(sim, frames, downlink_active, data_rng);
 }
 
-LocalizationMeasurement measure_localization(const SystemConfig& config,
-                                             std::size_t frames, bool downlink_active,
-                                             const phy::SlopeAlphabet* shared_alphabet,
-                                             Rng& data_rng) {
+LocalizationMeasurement measure_localization(LinkSimulator& sim, std::size_t frames,
+                                             bool downlink_active, Rng& data_rng) {
   BIS_CHECK(frames >= 1);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
 
   std::vector<double> errors;
@@ -128,17 +111,15 @@ LocalizationMeasurement measure_localization(const SystemConfig& config,
 
 IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0x15ACull);
-  return measure_integrated(config, frames, payload_bits, uplink_bits, nullptr,
-                            data_rng);
+  return measure_integrated(sim, frames, payload_bits, uplink_bits, data_rng);
 }
 
-IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
+IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits,
-                                   const phy::SlopeAlphabet* shared_alphabet,
                                    Rng& data_rng) {
   BIS_CHECK(frames >= 1);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
 
   IsacMeasurement m;
@@ -170,7 +151,8 @@ IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frame
   m.downlink.errors = dl_counter.errors();
   m.downlink.ber = dl_counter.rate();
   m.downlink.ber_upper95 = dl_counter.wilson_upper_95();
-  m.downlink.envelope_snr_db = sim.downlink_envelope_snr_db(config.tag_range_m);
+  m.downlink.envelope_snr_db =
+      sim.downlink_envelope_snr_db(sim.config().tag_range_m);
   m.uplink.ber = m.uplink.bits
                      ? static_cast<double>(m.uplink.errors) /
                            static_cast<double>(m.uplink.bits)

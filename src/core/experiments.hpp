@@ -2,8 +2,13 @@
 
 /// @file experiments.hpp
 /// Monte-Carlo measurement helpers used by the bench harnesses (one per
-/// paper figure/table — see DESIGN.md §4). Each helper owns its RNG stream
-/// (derived from the SystemConfig seed) so sweeps are reproducible.
+/// paper figure/table — see DESIGN.md §4). Each comes in two forms:
+///   - a config form that builds its own LinkSimulator and derives its data
+///     stream from the SystemConfig seed, so runs are reproducible;
+///   - a sweep form that drives a caller-built LinkSimulator with the
+///     caller's data stream. SweepRunner uses it so the simulator, and with
+///     it the run report of everything the point did, stays with the caller.
+/// Both forms calibrate the tag before the first frame.
 
 #include <cstddef>
 
@@ -27,15 +32,12 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config,
                                     std::size_t min_bits = 2000,
                                     std::size_t payload_bits = 120);
 
-/// Sweep-engine overload: draws payloads from the caller's @p data_rng (a
-/// jump-separated stream under SweepRunner) and, when @p shared_alphabet is
-/// non-null, reuses a precomputed slope alphabet instead of rebuilding it
-/// per point. The default wrapper above derives data_rng from config.seed
-/// exactly as before, so existing callers are bit-identical.
-BerMeasurement measure_downlink_ber(const SystemConfig& config,
-                                    std::size_t min_bits, std::size_t payload_bits,
-                                    const phy::SlopeAlphabet* shared_alphabet,
-                                    Rng& data_rng);
+/// Sweep form: runs on @p sim (freshly built; calibrated here) and draws
+/// payloads from @p data_rng (a jump-separated stream under SweepRunner).
+/// The config form above is this call on `LinkSimulator(config)` with
+/// data_rng seeded from config.seed.
+BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
+                                    std::size_t payload_bits, Rng& data_rng);
 
 struct UplinkMeasurement {
   double ber = 0.0;
@@ -53,10 +55,9 @@ UplinkMeasurement measure_uplink(const SystemConfig& config,
                                  std::size_t bits_per_frame = 8,
                                  bool downlink_active = false);
 
-/// Sweep-engine overload (see measure_downlink_ber).
-UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
+/// Sweep form (see measure_downlink_ber).
+UplinkMeasurement measure_uplink(LinkSimulator& sim, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active,
-                                 const phy::SlopeAlphabet* shared_alphabet,
                                  Rng& data_rng);
 
 struct LocalizationMeasurement {
@@ -73,11 +74,9 @@ LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              std::size_t frames = 20,
                                              bool downlink_active = false);
 
-/// Sweep-engine overload (see measure_downlink_ber).
-LocalizationMeasurement measure_localization(const SystemConfig& config,
-                                             std::size_t frames, bool downlink_active,
-                                             const phy::SlopeAlphabet* shared_alphabet,
-                                             Rng& data_rng);
+/// Sweep form (see measure_downlink_ber).
+LocalizationMeasurement measure_localization(LinkSimulator& sim, std::size_t frames,
+                                             bool downlink_active, Rng& data_rng);
 
 struct IsacMeasurement {
   BerMeasurement downlink;
@@ -90,10 +89,9 @@ IsacMeasurement measure_integrated(const SystemConfig& config,
                                    std::size_t payload_bits = 80,
                                    std::size_t uplink_bits = 4);
 
-/// Sweep-engine overload (see measure_downlink_ber).
-IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
+/// Sweep form (see measure_downlink_ber).
+IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits,
-                                   const phy::SlopeAlphabet* shared_alphabet,
                                    Rng& data_rng);
 
 }  // namespace bis::core

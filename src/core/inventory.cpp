@@ -6,10 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/window.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace bis::core {
@@ -73,7 +70,6 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
   BIS_CHECK(inventory_.q_max <= 31);
   BIS_CHECK(inventory_.q_initial >= inventory_.q_min &&
             inventory_.q_initial <= inventory_.q_max);
-  if (network_.base.telemetry) obs::set_enabled(true);
   pool_ = resolve_dsp_pool(network_.base.dsp_threads, owned_pool_);
 
   const auto& base = network_.base;
@@ -350,15 +346,7 @@ std::size_t InventoryEngine::run_until_drained() {
   return ran;
 }
 
-obs::RunReport InventoryEngine::report() const {
-  obs::RunReport out = report_;
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits;
-  out.fft_plan_misses = fft_stats.misses;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
-  return out;
-}
+obs::RunReport InventoryEngine::report() const { return report_; }
 
 std::string InventoryEngine::report_json() const {
   std::string out;

@@ -120,9 +120,9 @@ LinkServer::LinkServer(const LinkServerConfig& config,
       // frame; the plans are already cached, so this is a handful of small
       // dry FFTs.
       pool_(config.workers, [this] { links_.front()->sim->warm_caches(); }) {
-  // The per-link LinkSimulator constructors already started the global
-  // TelemetrySink when base.telemetry_export asks for one; publish this
-  // server's per-stage stats through it either way.
+  // Publish this server's per-stage stats through the process-wide
+  // TelemetrySink when one is running (obs::TelemetrySink::ensure_global,
+  // called before the server is built).
   if (auto* sink = obs::TelemetrySink::global()) {
     sink->attach_server_stats(&stats_);
   }

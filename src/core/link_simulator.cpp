@@ -7,12 +7,6 @@
 #include "common/constants.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernels/kernels.hpp"
-#include "dsp/resample.hpp"
-#include "dsp/window.hpp"
-#include "obs/sink.hpp"
-#include "obs/telemetry.hpp"
-#include "rf/noise.hpp"
 #include "obs/trace.hpp"
 
 namespace bis::core {
@@ -43,6 +37,25 @@ std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                      tap.excess_delay_s, tap.phase_rad});
   }
   return paths;
+}
+
+double tag_backscatter_amplitude(const SystemConfig& base, double range_m) {
+  const double f_c =
+      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
+  return std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
+      base.radar.rf, base.tag.rf, range_m, f_c)));
+}
+
+std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base) {
+  const double f_c =
+      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
+  std::vector<radar::IfReturn> out;
+  for (const auto& spec : radar::Scene::office_clutter_layout()) {
+    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
+                                                f_c, spec.rcs_offset_db);
+    out.push_back({spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
+  }
+  return out;
 }
 
 namespace {
@@ -99,45 +112,16 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
       uplink_detector_(make_uplink_detector_config(tag_.modulator().config(), config.precision)),
       uplink_decoder_(tag_.modulator().config()),
       pool_(resolve_dsp_pool(config.dsp_threads, owned_pool_)) {
-  // Telemetry: the toggle is process-wide (it gates spans/metrics inside
-  // dsp/radar/tag code that has no SystemConfig), so an opted-in simulator
-  // latches it on for everyone. The per-run report below stays per-instance.
-  if (config_.telemetry) obs::set_enabled(true);
-  // Per-run trace path and live export latch the same way: process-wide,
-  // first export configuration wins.
-  if (!config_.trace_path.empty()) obs::set_trace_dump_path(config_.trace_path);
-  if (config_.telemetry_export.any())
-    obs::TelemetrySink::ensure_global(config_.telemetry_export);
-  // SIMD dispatch is likewise process-wide (the kernel table is a global);
-  // an explicit config override must take effect, so an unknown/unavailable
-  // name is a hard error rather than a silent fallback.
-  if (!config_.simd.empty())
-    BIS_CHECK_MSG(dsp::kernels::set_target(config_.simd),
-                  "SystemConfig::simd names an unknown or unavailable target");
   report_.config = config_key(config_);
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  fft_hits_baseline_ = fft_stats.hits;
-  fft_misses_baseline_ = fft_stats.misses;
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  regrid_hits_baseline_ = regrid_stats.hits;
-  regrid_misses_baseline_ = regrid_stats.misses;
-  awgn_samples_baseline_ = rf::awgn_samples_added();
 
-  // Scene: tag amplitude from the two-way retro link budget; clutter
-  // objects at fixed positions with absolute (range-dependent) returns, so
-  // moving the tag changes the tag-to-clutter dynamics realistically.
-  const double f_c =
-      config_.radar.start_frequency_hz + config_.radar.bandwidth_hz / 2.0;
+  // Scene: the tag's two-way backscatter amplitude and the office clutter,
+  // from the same recipe BiScatterNetwork and InventoryEngine use.
   scene_.tag_range_m = config_.tag_range_m;
   scene_.tag_amplitude_v =
-      std::sqrt(dbm_to_watts(uplink_power_at_radar_dbm(config_.tag_range_m)));
+      tag_backscatter_amplitude(config_, config_.tag_range_m);
   scene_.has_tag = true;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(config_.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    scene_.clutter.push_back(
-        {spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
+  for (const auto& r : clutter_returns(config_))
+    scene_.clutter.push_back({r.range_m, r.amplitude_v, r.phase_rad});
 
   // Worst-case per-chirp buffer sizes over the whole alphabet, so job
   // buffers can be reserved once instead of regrowing whenever CSSK happens
@@ -565,40 +549,17 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
           static_cast<long>(std::min(uplink_bits.size(), usable_symbols * bps)));
   result.uplink = process_uplink_frame(chirps, states, comparable,
                                        /*downlink_active=*/true);
+  report_.uplink_bits_dropped += uplink_bits.size() - comparable.size();
   return result;
 }
 
-obs::RunReport LinkSimulator::report() const {
-  obs::RunReport out = report_;
-  // The plan cache is process-wide; the delta since this simulator's
-  // baseline attributes warm-up misses and steady-state hits to this run.
-  // (Concurrent simulators fold each other's transforms into the delta —
-  // acceptable for a run report, exact for the common one-sim-per-run case.)
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits - fft_hits_baseline_;
-  out.fft_plan_misses = fft_stats.misses - fft_misses_baseline_;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  out.regrid_plan_hits = regrid_stats.hits - regrid_hits_baseline_;
-  out.regrid_plan_misses = regrid_stats.misses - regrid_misses_baseline_;
-  out.regrid_plans = regrid_stats.plans;
-  out.awgn_samples = rf::awgn_samples_added() - awgn_samples_baseline_;
-  return out;
-}
+obs::RunReport LinkSimulator::report() const { return report_; }
 
-std::string LinkSimulator::report_json() const { return report().to_json(); }
+std::string LinkSimulator::report_json() const { return report_.to_json(); }
 
 void LinkSimulator::reset_report() {
   report_ = obs::RunReport{};
   report_.config = config_key(config_);
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  fft_hits_baseline_ = fft_stats.hits;
-  fft_misses_baseline_ = fft_stats.misses;
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  regrid_hits_baseline_ = regrid_stats.hits;
-  regrid_misses_baseline_ = regrid_stats.misses;
-  awgn_samples_baseline_ = rf::awgn_samples_added();
 }
 
 }  // namespace bis::core

@@ -12,6 +12,11 @@
 ///     radar, which assigned the tag's modulation pattern, places downlink
 ///     symbols on chirps the tag will absorb, so two-way communication and
 ///     sensing share every frame (paper §3.3).
+///
+/// Everything a simulator does lands in its own `report()`: the
+/// measurement helpers (core/experiments.hpp), LinkServer and SweepRunner
+/// all drive LinkSimulators and merge those reports rather than rebuilding
+/// counts from their own results.
 
 #include <memory>
 
@@ -111,6 +116,9 @@ class LinkSimulator {
   UplinkRunResult run_uplink(const phy::Bits& bits, bool downlink_active);
 
   /// Fully integrated frame: downlink packet + uplink bits + localization.
+  /// Only the reply bits in the whole uplink symbols the frame's chirps
+  /// carry are compared; the rest count in the report's
+  /// `uplink_bits_dropped`, not in `uplink_bits`.
   IsacRunResult run_integrated(const phy::Bits& downlink_payload,
                                const phy::Bits& uplink_bits);
 
@@ -171,14 +179,13 @@ class LinkSimulator {
   // ---- Telemetry (see obs/report.hpp) ----
 
   /// Structured stats accumulated across every run_* call on this
-  /// simulator, with DSP-cache deltas captured at call time and the report
-  /// keyed by config_key(config()). Outcome counters are always maintained;
-  /// the per-stage timers fill only while telemetry is enabled
-  /// (SystemConfig::telemetry or BIS_TRACE).
+  /// simulator, keyed by config_key(config()). Outcome counters are always
+  /// maintained; the per-stage timers fill only while telemetry is enabled
+  /// (obs::set_enabled or BIS_TRACE).
   obs::RunReport report() const;
   std::string report_json() const;
 
-  /// Zero the accumulated report (the cache-delta baseline resets too).
+  /// Zero the accumulated report.
   void reset_report();
 
  private:
@@ -221,11 +228,6 @@ class LinkSimulator {
                                        ///< regrow when CSSK draws a longer
                                        ///< chirp than a job slot has seen.
   obs::RunReport report_;                   ///< Accumulated run telemetry.
-  std::uint64_t fft_hits_baseline_ = 0;     ///< Plan-cache counts at ctor /
-  std::uint64_t fft_misses_baseline_ = 0;   ///< reset_report, for deltas.
-  std::uint64_t regrid_hits_baseline_ = 0;    ///< Regrid-plan cache deltas,
-  std::uint64_t regrid_misses_baseline_ = 0;  ///< same convention.
-  std::uint64_t awgn_samples_baseline_ = 0;   ///< rf::awgn_samples_added().
 };
 
 /// Resolve a dsp_threads setting (see SystemConfig) to the pool the frame
@@ -247,5 +249,15 @@ tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config);
 /// LinkSimulator::incident_paths, bit-identical to it.
 std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                                                   double range_m);
+
+/// Two-way backscatter amplitude (volts at the radar ADC) of a tag at
+/// @p range_m under @p base's link budget, evaluated at the band center.
+double tag_backscatter_amplitude(const SystemConfig& base, double range_m);
+
+/// The static office-clutter prefix of a sensing scene, link-budget scaled.
+/// LinkSimulator, BiScatterNetwork and the inventory engine's slot frames
+/// share this scene recipe, so a tag return sits on the same clutter floor
+/// in all three.
+std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base);
 
 }  // namespace bis::core

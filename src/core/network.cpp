@@ -5,14 +5,10 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/window.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "radar/if_synthesizer.hpp"
 #include "radar/range_align.hpp"
 #include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
 
 namespace bis::core {
 namespace {
@@ -48,25 +44,6 @@ std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet) {
   return alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
 }
 
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  return std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
-      base.radar.rf, base.tag.rf, range_m, f_c)));
-}
-
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  std::vector<radar::IfReturn> out;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    out.push_back({spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
-  return out;
-}
-
 std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
                                       std::size_t n_chirps,
                                       double chirp_period_s) {
@@ -89,7 +66,6 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
       aligner_(config.base.if_correction),
       detector_(network_detector_config(config)) {
   BIS_CHECK(!config_.tags.empty());
-  if (config_.base.telemetry) obs::set_enabled(true);
   report_.config =
       config_key(config_.base) + "|tags=" + std::to_string(config_.tags.size());
   pool_ = resolve_dsp_pool(config_.base.dsp_threads, owned_pool_);
@@ -283,15 +259,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   return out;
 }
 
-obs::RunReport BiScatterNetwork::report() const {
-  obs::RunReport out = report_;
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits;
-  out.fft_plan_misses = fft_stats.misses;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
-  return out;
-}
+obs::RunReport BiScatterNetwork::report() const { return report_; }
 
 std::string BiScatterNetwork::report_json() const {
   std::string out;

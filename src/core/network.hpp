@@ -152,15 +152,6 @@ std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s)
 /// data symbol, the slope every pure sensing chirp uses.
 std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet);
 
-/// Two-way backscatter amplitude (volts at the radar ADC) of a tag at
-/// @p range_m under @p base's link budget, evaluated at the band center.
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m);
-
-/// The static office-clutter prefix of a sensing scene, link-budget scaled.
-/// BiScatterNetwork and the inventory engine's slot frames share this scene
-/// recipe so a tag return sits on the same clutter floor in both.
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base);
-
 /// Count assigned-frequency pairs closer than the slow-time FFT resolution
 /// 1/(n_chirps · chirp_period_s) — adjacent pairs after sorting. Such pairs
 /// land in the same spectral bin and cannot be separated within one frame;

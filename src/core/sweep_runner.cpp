@@ -7,13 +7,9 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/resample.hpp"
 #include "obs/metrics.hpp"
 #include "obs/server_stats.hpp"
-#include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
-#include "rf/noise.hpp"
 
 namespace bis::core {
 namespace {
@@ -34,53 +30,6 @@ std::string alphabet_key(const SystemConfig& c) {
      << dl.reference_freq_hz << '|' << dl.loss_db_per_m_at_ref << '|'
      << c.tag.node.frontend.adc.sample_rate_hz;
   return os.str();
-}
-
-/// Outcome counters a sweep point contributes to the merged report, derived
-/// from its measurement (the point's LinkSimulator is internal to the
-/// measure_* helper). Cache fields stay zero here; the runner fills them
-/// with sweep-wide deltas after the merge.
-obs::RunReport point_report(SweepMode mode, const SweepWorkload& w,
-                            const ExperimentMetrics& m) {
-  obs::RunReport r;
-  r.config = m.config;
-  const auto downlink = [&](const BerMeasurement& d) {
-    r.downlink_frames += d.packets;
-    r.sync_attempts += d.packets;
-    r.sync_locks += d.packets_locked;
-    r.downlink_bits += d.bits;
-    r.downlink_bit_errors += d.errors;
-  };
-  const auto uplink = [&](std::size_t frames, double detection_rate,
-                          std::size_t bits, std::size_t errors,
-                          double mean_snr_db) {
-    r.uplink_frames += frames;
-    r.detection_attempts += frames;
-    r.detections += static_cast<std::uint64_t>(
-        detection_rate * static_cast<double>(frames) + 0.5);
-    r.uplink_bits += bits;
-    r.uplink_bit_errors += errors;
-    r.detector_snr_sum_db += mean_snr_db * static_cast<double>(frames);
-  };
-  switch (mode) {
-    case SweepMode::kDownlinkBer:
-      downlink(m.downlink);
-      break;
-    case SweepMode::kUplink:
-      uplink(w.frames, m.uplink.detection_rate, m.uplink.bits, m.uplink.errors,
-             m.uplink.mean_snr_processed_db);
-      break;
-    case SweepMode::kLocalization:
-      uplink(w.frames, m.localization.detection_rate, 0, 0, 0.0);
-      break;
-    case SweepMode::kIntegrated:
-      downlink(m.downlink);
-      uplink(w.frames, m.uplink.detection_rate, m.uplink.bits, m.uplink.errors,
-             m.uplink.mean_snr_processed_db);
-      r.integrated_frames += w.frames;
-      break;
-  }
-  return r;
 }
 
 }  // namespace
@@ -136,16 +85,9 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
     walker.jump();
   }
 
-  const auto fft0 = dsp::fft_plan_cache_stats();
-  const auto regrid0 = dsp::regrid_plan_cache_stats();
-  const std::uint64_t awgn0 = rf::awgn_samples_added();
-
-  // Live-progress metrics so a TelemetrySink (grid.front() may configure one
-  // via telemetry_export) can watch the sweep: total/done point counts plus a
-  // per-point latency distribution. Cost with telemetry off: one relaxed
-  // load + branch per point.
-  if (grid.front().config.telemetry_export.any())
-    obs::TelemetrySink::ensure_global(grid.front().config.telemetry_export);
+  // Live-progress metrics so a running TelemetrySink can watch the sweep:
+  // total/done point counts plus a per-point latency distribution. Cost with
+  // telemetry off: one relaxed load + branch per point.
   obs::Registry::instance()
       .gauge("bis.sweep.points_total")
       .set(static_cast<double>(grid.size()));
@@ -160,7 +102,8 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
 
   // One point per task (coarse-grained — see file comment). Each task reads
   // only shared immutable state and writes only its own slots, so the merge
-  // below sees identical values for any thread count.
+  // below sees identical values for any thread count. A point's report is
+  // its simulator's own: every frame the point ran, counted once.
   std::vector<obs::RunReport> partials(grid.size());
   const SweepWorkload& w = options_.workload;
   bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
@@ -173,29 +116,28 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
     m.axis = grid[i].axis;
     m.point_seed = cfg.seed;
     m.config = config_key(cfg);
-    const phy::SlopeAlphabet* alphabet = point_alphabet[i];
+    LinkSimulator sim(cfg, *point_alphabet[i]);
     switch (options_.mode) {
       case SweepMode::kDownlinkBer:
-        m.downlink =
-            measure_downlink_ber(cfg, w.min_bits, w.payload_bits, alphabet, rng);
+        m.downlink = measure_downlink_ber(sim, w.min_bits, w.payload_bits, rng);
         break;
       case SweepMode::kUplink:
-        m.uplink = measure_uplink(cfg, w.frames, w.bits_per_frame,
-                                  w.downlink_active, alphabet, rng);
+        m.uplink = measure_uplink(sim, w.frames, w.bits_per_frame,
+                                  w.downlink_active, rng);
         break;
       case SweepMode::kLocalization:
-        m.localization = measure_localization(cfg, w.frames, w.downlink_active,
-                                              alphabet, rng);
+        m.localization =
+            measure_localization(sim, w.frames, w.downlink_active, rng);
         break;
       case SweepMode::kIntegrated: {
-        const auto isac = measure_integrated(cfg, w.frames, w.payload_bits,
-                                             w.uplink_bits, alphabet, rng);
+        const auto isac = measure_integrated(sim, w.frames, w.payload_bits,
+                                             w.uplink_bits, rng);
         m.downlink = isac.downlink;
         m.uplink = isac.uplink;
         break;
       }
     }
-    partials[i] = point_report(options_.mode, w, m);
+    partials[i] = sim.report();
     if (t0 != 0) {
       const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
       if (t1 > t0) point_us.record((t1 - t0) / 1000);
@@ -203,22 +145,8 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
     points_done.add(1);
   });
 
-  // Deterministic merge in grid order. The cache/AWGN deltas overwrite the
-  // merged zeros with sweep-wide totals; their hit/miss split can vary with
-  // thread interleaving (two lanes racing the same cold key both miss), so
-  // they live in the report, not in sweep_to_json's determinism surface.
+  // Deterministic merge in grid order (the report's key stays the sweep's).
   for (const auto& p : partials) out.report.merge(p);
-  out.report.config = std::string("sweep:") + sweep_mode_name(options_.mode) +
-                      " points=" + std::to_string(grid.size());
-  const auto fft1 = dsp::fft_plan_cache_stats();
-  const auto regrid1 = dsp::regrid_plan_cache_stats();
-  out.report.fft_plan_hits = fft1.hits - fft0.hits;
-  out.report.fft_plan_misses = fft1.misses - fft0.misses;
-  out.report.fft_plans = fft1.plans;
-  out.report.regrid_plan_hits = regrid1.hits - regrid0.hits;
-  out.report.regrid_plan_misses = regrid1.misses - regrid0.misses;
-  out.report.regrid_plans = regrid1.plans;
-  out.report.awgn_samples = rf::awgn_samples_added() - awgn0;
   return out;
 }
 

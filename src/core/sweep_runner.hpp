@@ -23,6 +23,10 @@
 ///   - Immutable per-configuration state (the CSSK slope alphabet, whose
 ///     design cost is independent of seed/range/SNR) is precomputed once
 ///     per distinct parameter set and shared read-only across points.
+///
+/// Each point builds its own LinkSimulator on the shared alphabet and runs
+/// the sweep form of its measure_* helper on it; the sweep report is those
+/// simulators' reports merged in grid order.
 
 #include <cstdint>
 #include <span>
@@ -90,10 +94,12 @@ struct SweepResult {
   std::size_t threads_used = 1;
   std::vector<ExperimentMetrics> points;  ///< Grid order, regardless of
                                           ///< scheduling.
-  obs::RunReport report;  ///< Sweep-level telemetry: outcome counters merged
-                          ///< in grid order plus process-wide cache/AWGN
-                          ///< deltas over the sweep (regrid-plan and FFT-plan
-                          ///< hit rates, batched noise samples).
+  obs::RunReport report;  ///< Sweep-level telemetry: every point's
+                          ///< LinkSimulator report, merged in grid order.
+                          ///< Process-wide cache and noise counters are not
+                          ///< in it; read them from dsp::fft_plan_cache_stats,
+                          ///< dsp::regrid_plan_cache_stats and
+                          ///< rf::awgn_samples_added around run().
 };
 
 class SweepRunner {
@@ -119,8 +125,8 @@ std::vector<SweepPoint> range_sweep_grid(const SystemConfig& base,
 
 /// Deterministic JSON for CI diffing: mode, master seed, and per-point
 /// metrics (full 17-digit precision). Deliberately excludes the telemetry
-/// report — cache hit/miss splits depend on thread interleaving, while
-/// everything emitted here is bit-identical across thread counts.
+/// report — its stage times are wall clock, while everything emitted here is
+/// bit-identical across thread counts.
 std::string sweep_to_json(const SweepResult& result);
 
 }  // namespace bis::core

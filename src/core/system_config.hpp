@@ -6,13 +6,18 @@
 ///     of configurable bandwidth),
 ///   - 24 GHz Analog Devices TinyRad (8 dBm, 250 MHz bandwidth, better
 ///     oscillator — the reason Fig. 17 shows it slightly ahead).
+///
+/// A SystemConfig describes one run and holds only per-run settings. The
+/// process-wide switches are set directly, never through a config:
+/// telemetry with `obs::set_enabled` or `BIS_TRACE`, live metric export with
+/// `obs::TelemetrySink::ensure_global`, SIMD dispatch with
+/// `dsp::kernels::set_target` or `BIS_SIMD`.
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
 #include "dsp/precision.hpp"
-#include "obs/sink.hpp"
 #include "phy/packet.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "phy/uplink.hpp"
@@ -84,41 +89,6 @@ struct SystemConfig {
                                      ///< strictly sequential, k = private
                                      ///< k-lane pool. Results are
                                      ///< bit-identical for every setting.
-  bool telemetry = false;            ///< Turn on the bis::obs subsystem
-                                     ///< (trace spans, metrics, stage
-                                     ///< timers). Latched process-wide when
-                                     ///< a LinkSimulator/BiScatterNetwork is
-                                     ///< built with it; the BIS_TRACE env
-                                     ///< var enables it too. Off: the only
-                                     ///< cost on the hot path is a relaxed
-                                     ///< atomic load + branch per site.
-  obs::TelemetrySinkOptions telemetry_export;  ///< Live metric export: when
-                                     ///< any path/port is set, building a
-                                     ///< LinkServer (or SweepRunner run)
-                                     ///< starts the process-wide
-                                     ///< obs::TelemetrySink streaming JSONL
-                                     ///< time-series and/or Prometheus text
-                                     ///< snapshots at interval_ms cadence.
-                                     ///< Implies telemetry. First configured
-                                     ///< export wins (process-wide latch).
-  std::string trace_path;            ///< Chrome-trace output path for this
-                                     ///< run ("" = keep default bis_trace_
-                                     ///< <pid>.json). Latched process-wide
-                                     ///< alongside telemetry; the BIS_TRACE
-                                     ///< env var ("1" for default path, any
-                                     ///< other value = explicit path, "%p"
-                                     ///< expands to the pid) sets the same
-                                     ///< knob, so concurrent processes can
-                                     ///< write distinct trace files.
-  std::string simd;                  ///< SIMD kernel dispatch override:
-                                     ///< "scalar" (or "off"), "sse2", "avx2".
-                                     ///< Empty = keep the process-wide choice
-                                     ///< (CPU detection, or the BIS_SIMD env
-                                     ///< var). Applied process-wide when a
-                                     ///< LinkSimulator is built. All targets
-                                     ///< produce bit-identical frame output
-                                     ///< (see dsp/kernels/kernels.hpp).
-
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
                                      ///< Numeric tier for the per-frame inner
                                      ///< loop (synthesis → window → range

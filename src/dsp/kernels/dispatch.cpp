@@ -1,9 +1,9 @@
 /// Runtime dispatch for the SIMD kernel layer. The target is selected once,
 /// lazily, on the first kernel call: the best CPU-supported backend
 /// (AVX2+FMA → SSE2 → scalar), overridden by the BIS_SIMD environment
-/// variable when set. core::SystemConfig::simd routes through set_target at
-/// simulator construction. Selection state is a single atomic pointer; the
-/// per-call cost is one relaxed load and an indirect call.
+/// variable when set, or by an explicit set_target call. Selection state is
+/// a single atomic pointer; the per-call cost is one relaxed load and an
+/// indirect call.
 
 #include <atomic>
 #include <cstdio>

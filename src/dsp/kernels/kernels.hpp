@@ -9,7 +9,7 @@
 /// narrow API backed by three interchangeable implementations — AVX2+FMA,
 /// SSE2, and scalar — selected once at startup by CPU detection and
 /// overridable with the BIS_SIMD environment variable
-/// (`BIS_SIMD=scalar|sse2|avx2`) or core::SystemConfig::simd.
+/// (`BIS_SIMD=scalar|sse2|avx2`) or set_target().
 ///
 /// ## Bit-identity contract
 ///

@@ -2,8 +2,8 @@
 
 /// @file obs.hpp
 /// Umbrella header for the `bis::obs` observability subsystem:
-///   - telemetry.hpp — process-wide enable switch (`SystemConfig::telemetry`
-///     or the BIS_TRACE environment variable),
+///   - telemetry.hpp — process-wide enable switch (`obs::set_enabled` or
+///     the BIS_TRACE environment variable),
 ///   - metrics.hpp   — named counters / gauges / histograms,
 ///   - trace.hpp     — RAII spans and Chrome-trace (chrome://tracing) export,
 ///   - report.hpp    — per-run structured stats (RunReport).

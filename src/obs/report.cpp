@@ -1,6 +1,5 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ostream>
@@ -54,6 +53,7 @@ void RunReport::merge(const RunReport& other) {
   mod_freq_collisions += other.mod_freq_collisions;
   uplink_bits += other.uplink_bits;
   uplink_bit_errors += other.uplink_bit_errors;
+  uplink_bits_dropped += other.uplink_bits_dropped;
   inventory_rounds += other.inventory_rounds;
   inventory_slots += other.inventory_slots;
   inventory_singletons += other.inventory_singletons;
@@ -62,14 +62,6 @@ void RunReport::merge(const RunReport& other) {
   inventory_reads += other.inventory_reads;
   detector_snr_sum_db += other.detector_snr_sum_db;
   last_detector_snr_db = other.last_detector_snr_db;
-  fft_plan_hits += other.fft_plan_hits;
-  fft_plan_misses += other.fft_plan_misses;
-  fft_plans = std::max(fft_plans, other.fft_plans);
-  window_cache_entries = std::max(window_cache_entries, other.window_cache_entries);
-  regrid_plan_hits += other.regrid_plan_hits;
-  regrid_plan_misses += other.regrid_plan_misses;
-  regrid_plans = std::max(regrid_plans, other.regrid_plans);
-  awgn_samples += other.awgn_samples;
   stage.if_synthesis_s += other.stage.if_synthesis_s;
   stage.range_fft_s += other.stage.range_fft_s;
   stage.if_correction_s += other.stage.if_correction_s;
@@ -108,6 +100,7 @@ void RunReport::append_json(std::string& out) const {
   w.key("mod_freq_collisions").value(mod_freq_collisions);
   w.key("bits").value(uplink_bits);
   w.key("bit_errors").value(uplink_bit_errors);
+  w.key("bits_dropped").value(uplink_bits_dropped);
   w.key("ber").value(uplink_ber());
   w.key("detector_snr_db").value(last_detector_snr_db);
   w.key("mean_detector_snr_db").value(mean_detector_snr_db());
@@ -122,18 +115,6 @@ void RunReport::append_json(std::string& out) const {
   w.key("collision_rate").value(rate(inventory_collisions, inventory_slots));
   w.key("empty_slot_rate").value(rate(inventory_idles, inventory_slots));
   w.end_object();
-  w.key("fft_plan_cache").begin_object();
-  w.key("hits").value(fft_plan_hits);
-  w.key("misses").value(fft_plan_misses);
-  w.key("plans").value(fft_plans);
-  w.end_object();
-  w.key("window_cache_entries").value(window_cache_entries);
-  w.key("regrid_plan_cache").begin_object();
-  w.key("hits").value(regrid_plan_hits);
-  w.key("misses").value(regrid_plan_misses);
-  w.key("plans").value(regrid_plans);
-  w.end_object();
-  w.key("awgn_samples").value(awgn_samples);
   w.key("stage_seconds").begin_object();
   w.key("if_synthesis").value(stage.if_synthesis_s);
   w.key("range_fft").value(stage.range_fft_s);

@@ -3,10 +3,15 @@
 /// @file report.hpp
 /// Per-run structured telemetry: a `RunReport` accumulates link-level
 /// quantities (frames, chirps, sync/CRC/detection outcomes, bit errors,
-/// detector SNR) plus DSP-cache and per-stage-time observations, and dumps
-/// them as one JSON object keyed by the system configuration. LinkSimulator
-/// and BiScatterNetwork each own one and expose `report()` /
-/// `report_json()`.
+/// detector SNR) plus per-stage wall times, and dumps them as one JSON object
+/// keyed by the system configuration. LinkSimulator, BiScatterNetwork and
+/// InventoryEngine each own one and return it from `report()`; LinkServer
+/// and SweepRunner merge their simulators' reports.
+///
+/// A report holds only what its own run did. Process-wide DSP-cache and
+/// noise counters are read from their owners instead
+/// (`dsp::fft_plan_cache_stats`, `dsp::regrid_plan_cache_stats`,
+/// `dsp::window_cache_size`, `rf::awgn_samples_added`).
 ///
 /// The outcome counters are plain integers updated from the (sequential)
 /// run_* methods — always on, effectively free. The stage timers are gated
@@ -57,6 +62,12 @@ struct RunReport {
                                           ///< core::count_mod_freq_collisions).
   std::uint64_t uplink_bits = 0;
   std::uint64_t uplink_bit_errors = 0;
+  std::uint64_t uplink_bits_dropped = 0;  ///< Integrated-frame reply bits
+                                          ///< past the last whole uplink
+                                          ///< symbol the frame carries:
+                                          ///< neither compared nor counted
+                                          ///< as errors. Out of
+                                          ///< outcome_key().
   double detector_snr_sum_db = 0.0;  ///< Over detection attempts.
   double last_detector_snr_db = 0.0;
 
@@ -71,18 +82,6 @@ struct RunReport {
   std::uint64_t inventory_idles = 0;       ///< Slots nobody answered.
   std::uint64_t inventory_reads = 0;       ///< Tags successfully inventoried.
 
-  // DSP-cache activity attributable to this run (deltas since the owner was
-  // constructed, captured at report time).
-  std::uint64_t fft_plan_hits = 0;
-  std::uint64_t fft_plan_misses = 0;
-  std::uint64_t fft_plans = 0;           ///< Distinct sizes currently cached.
-  std::uint64_t window_cache_entries = 0;
-  std::uint64_t regrid_plan_hits = 0;    ///< IF-correction stencil cache.
-  std::uint64_t regrid_plan_misses = 0;
-  std::uint64_t regrid_plans = 0;        ///< Distinct (axis, grid) pairs.
-  std::uint64_t awgn_samples = 0;        ///< Batched Gaussian noise samples
-                                         ///< added (complex counts 2/sample).
-
   StageTimes stage;
 
   double sync_lock_rate() const;
@@ -92,10 +91,9 @@ struct RunReport {
   double mean_detector_snr_db() const;
 
   /// Fold another report into this one: counters, bit totals, SNR sums, and
-  /// stage times add; cache-size snapshots (plans, window entries) take the
-  /// max; `config` keeps this report's key when set, else adopts the
-  /// other's. SweepRunner uses this to aggregate per-point reports into one
-  /// sweep-level report.
+  /// stage times add; `last_detector_snr_db` takes the other's; `config`
+  /// keeps this report's key when set, else adopts the other's. LinkServer
+  /// and SweepRunner use this to aggregate their simulators' reports.
   void merge(const RunReport& other);
 
   /// One JSON object with every field above plus the derived rates.
@@ -110,8 +108,9 @@ struct RunReport {
 
   /// Deterministic digest of the *outcome* fields only: frame/bit/detection
   /// counters and the SNR accumulators (%.17g — bit-exact for doubles).
-  /// Excludes wall-clock stage times and process-wide cache deltas, which
-  /// legitimately vary run-to-run. Two runs that processed the same frames
+  /// Excludes wall-clock stage times, which legitimately vary run-to-run,
+  /// and the observability-only counters (collisions, inventory,
+  /// dropped uplink bits). Two runs that processed the same frames
   /// in the same per-link order produce equal keys — the streaming engine's
   /// determinism contract is asserted on this string.
   std::string outcome_key() const;

@@ -14,8 +14,8 @@
 /// The sink only *reads* metrics (relaxed atomic loads); the hot paths it
 /// observes never block on it. Lifecycle: construct → samples flow → stop()
 /// (or destruction) takes one final sample and joins the threads. The
-/// process-wide instance configured through `SystemConfig::telemetry_export`
-/// is created once via ensure_global() and flushed at exit.
+/// process-wide instance is created once via ensure_global() — before the
+/// LinkServer it should watch is built — and flushed at exit.
 
 #include <atomic>
 #include <chrono>
@@ -37,7 +37,7 @@ struct TelemetrySinkOptions {
   int tcp_port = -1;             ///< Embedded HTTP endpoint: -1 = off,
                                  ///< 0 = ephemeral port (see port()).
 
-  /// True when any export is configured — the latch LinkServer checks.
+  /// True when any export is configured.
   bool any() const {
     return !jsonl_path.empty() || !prom_path.empty() || tcp_port >= 0;
   }
@@ -86,9 +86,8 @@ class TelemetrySink {
 
   /// Process-wide sink: the first call creates it (registering an atexit
   /// stop), later calls return the existing instance unchanged — so the
-  /// first component to configure export wins, matching the latching
-  /// behavior of SystemConfig::telemetry. Returns nullptr only if @p options
-  /// has no export configured and no sink exists yet.
+  /// first caller's export configuration wins. Returns nullptr only if
+  /// @p options has no export configured and no sink exists yet.
   static TelemetrySink* ensure_global(const TelemetrySinkOptions& options);
   static TelemetrySink* global();
 

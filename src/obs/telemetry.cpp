@@ -70,20 +70,6 @@ const bool g_env_initialized = init_from_env();
 
 }  // namespace
 
-const std::string& trace_env_path() {
-  (void)g_env_initialized;
-  return env_path_storage();
-}
-
-void set_trace_dump_path(std::string_view path) {
-  (void)g_env_initialized;
-  if (path.empty()) return;
-  set_enabled(true);
-  const bool first = env_path_storage().empty();
-  env_path_storage() = expand_pid(path);
-  if (first) std::atexit(dump_trace_at_exit);
-}
-
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   std::ostringstream oss;  // default precision matches the stream inserters

@@ -8,12 +8,13 @@
 /// guardrail in `bench_dsp_kernels` (BENCH_dsp.json `telemetry_overhead`).
 ///
 /// The switch is turned on by either
-///   - `SystemConfig::telemetry = true` (latched when a LinkSimulator or
-///     BiScatterNetwork is constructed with it), or
+///   - `obs::set_enabled(true)`, or
 ///   - the `BIS_TRACE` environment variable at process start:
 ///       BIS_TRACE=1           enable telemetry
 ///       BIS_TRACE=trace.json  enable telemetry and write a Chrome-trace
 ///                             JSON (chrome://tracing) to that path at exit
+///                             (`%p` in the path expands to the pid, so
+///                             concurrent processes write distinct files)
 ///       BIS_TRACE=0 / unset   leave it off
 
 #include <atomic>
@@ -34,19 +35,6 @@ inline bool enabled() {
 /// Flip the process-wide switch (thread-safe, takes effect immediately;
 /// spans already open stay consistent — activation is latched per span).
 void set_enabled(bool on);
-
-/// Trace-dump path currently configured (via BIS_TRACE or
-/// set_trace_dump_path; empty when none). The dump to this path happens
-/// automatically at process exit.
-const std::string& trace_env_path();
-
-/// Configure (or override) the Chrome-trace dump path for this process and
-/// enable telemetry. `%p` in @p path expands to the pid, so concurrent
-/// processes sharing a command line write distinct files. The same expansion
-/// applies to a path given via BIS_TRACE. Called by LinkSimulator when
-/// `SystemConfig::trace_path` is set; an empty path is a no-op (it never
-/// clears an already-configured dump).
-void set_trace_dump_path(std::string_view path);
 
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view s);

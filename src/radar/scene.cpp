@@ -1,8 +1,5 @@
 #include "radar/scene.hpp"
 
-#include "common/check.hpp"
-#include "common/units.hpp"
-
 namespace bis::radar {
 
 const std::vector<Scene::ClutterSpec>& Scene::office_clutter_layout() {
@@ -11,27 +8,6 @@ const std::vector<Scene::ClutterSpec>& Scene::office_clutter_layout() {
       {6.2, -1.0, 5.1}, {8.5, -6.0, 0.9},
   };
   return layout;
-}
-
-Scene Scene::with_office_clutter(double tag_range_m, double tag_amplitude_v,
-                                 double clutter_to_tag_db) {
-  BIS_CHECK(tag_range_m > 0.0);
-  BIS_CHECK(tag_amplitude_v >= 0.0);
-  Scene scene;
-  scene.tag_range_m = tag_range_m;
-  scene.tag_amplitude_v = tag_amplitude_v;
-  scene.has_tag = true;
-  // Static clutter is typically much stronger than the tag return —
-  // background subtraction is what makes the tag visible at all.
-  const double c_amp = tag_amplitude_v * db_to_amplitude(clutter_to_tag_db);
-  scene.clutter = {
-      {1.1, c_amp * 0.8, 0.4},
-      {2.7, c_amp * 1.0, 1.7},
-      {4.3, c_amp * 0.6, 3.0},
-      {6.2, c_amp * 0.9, 5.1},
-      {8.5, c_amp * 0.5, 0.9},
-  };
-  return scene;
 }
 
 }  // namespace bis::radar

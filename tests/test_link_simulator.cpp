@@ -76,6 +76,31 @@ TEST(LinkSimulator, IntegratedFrameCarriesBothDirections) {
   EXPECT_LT(r.uplink.range_error_m, 0.06);
 }
 
+TEST(LinkSimulator, IntegratedFramesCountDroppedReplyBits) {
+  // The transparent_sensing scenario: short downlink packets leave room for
+  // fewer whole 32-chirp uplink symbols than a 4-bit reply needs on some
+  // frames. Every reply bit is either compared or counted as dropped.
+  auto cfg = base_config(4.0, 7);
+  cfg.tag.node.uplink.chirps_per_symbol = 32;
+  cfg.packet.header_chirps = 12;
+  cfg.packet.sync_chirps = 4;
+  LinkSimulator sim(cfg);
+  sim.calibrate_tag();
+  Rng rng(99);
+  constexpr std::size_t kFrames = 10;
+  constexpr std::size_t kReplyBits = 4;
+  std::size_t compared = 0;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    const auto payload = rng.bits(80);
+    compared += sim.run_integrated(payload, rng.bits(kReplyBits)).uplink.bits_compared;
+  }
+  const obs::RunReport report = sim.report();
+  EXPECT_EQ(report.uplink_bits, compared);
+  EXPECT_GT(report.uplink_bits_dropped, 0u);
+  EXPECT_EQ(report.uplink_bits + report.uplink_bits_dropped, kFrames * kReplyBits);
+  EXPECT_NE(sim.report_json().find("\"bits_dropped\""), std::string::npos);
+}
+
 TEST(LinkSimulator, RetroReflectivityBoostsUplink) {
   auto with = base_config(6.0);
   auto without = base_config(6.0);

@@ -21,6 +21,7 @@ RunReport make_report(std::uint64_t k) {
   r.detections = k / 2;
   r.uplink_bits = 8 * k;
   r.uplink_bit_errors = k % 3;
+  r.uplink_bits_dropped = 2 * k;
   r.detector_snr_sum_db = 0.125 * static_cast<double>(k);  // exact in binary
   r.last_detector_snr_db = static_cast<double>(k);
   r.inventory_rounds = k;
@@ -29,13 +30,11 @@ RunReport make_report(std::uint64_t k) {
   r.inventory_collisions = 2 * k;
   r.inventory_idles = 10 * k;
   r.inventory_reads = 5 * k;
-  r.fft_plans = k;           // cache snapshots merge as max, not sum
-  r.regrid_plans = 2 * k;
   r.stage.detect_s = 0.25 * static_cast<double>(k);
   return r;
 }
 
-TEST(ReportMerge, CountersAddAndSnapshotsMax) {
+TEST(ReportMerge, CountersAdd) {
   RunReport total;
   total.config = "agg";
   total.merge(make_report(3));
@@ -46,6 +45,7 @@ TEST(ReportMerge, CountersAddAndSnapshotsMax) {
   EXPECT_EQ(total.detections, 3u);
   EXPECT_EQ(total.uplink_bits, 64u);
   EXPECT_EQ(total.uplink_bit_errors, 2u);  // 3%3 + 5%3
+  EXPECT_EQ(total.uplink_bits_dropped, 16u);
   EXPECT_DOUBLE_EQ(total.detector_snr_sum_db, 1.0);
   EXPECT_DOUBLE_EQ(total.last_detector_snr_db, 5.0);  // latest merged wins
   EXPECT_EQ(total.inventory_rounds, 8u);
@@ -54,20 +54,17 @@ TEST(ReportMerge, CountersAddAndSnapshotsMax) {
   EXPECT_EQ(total.inventory_collisions, 16u);
   EXPECT_EQ(total.inventory_idles, 80u);
   EXPECT_EQ(total.inventory_reads, 40u);
-  EXPECT_EQ(total.fft_plans, 5u);
-  EXPECT_EQ(total.regrid_plans, 10u);
   EXPECT_DOUBLE_EQ(total.stage.detect_s, 2.0);
 }
 
-TEST(ReportMerge, OutcomeKeyIgnoresTimingAndCaches) {
+TEST(ReportMerge, OutcomeKeyIgnoresTimingAndObservability) {
   RunReport a = make_report(7);
   RunReport b = make_report(7);
   b.stage.detect_s += 123.0;   // wall time varies run to run
-  b.fft_plan_hits += 99;       // process-wide cache deltas vary too
-  b.fft_plans = 1;
   // Inventory counters are observability, not the parity-gated outcome (the
   // engine's round records are) — they stay out of the key by design.
   b.inventory_reads += 17;
+  b.uplink_bits_dropped += 3;  // dropped reply bits are observability too
   EXPECT_EQ(a.outcome_key(), b.outcome_key());
   b.uplink_bit_errors += 1;    // ...but outcomes must not
   EXPECT_NE(a.outcome_key(), b.outcome_key());

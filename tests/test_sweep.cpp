@@ -13,6 +13,7 @@
 #include "core/sweep_runner.hpp"
 #include "dsp/resample.hpp"
 #include "radar/range_align.hpp"
+#include "rf/noise.hpp"
 
 namespace bis {
 namespace {
@@ -316,13 +317,90 @@ TEST(SweepDeterminism, RepeatsGetDistinctSubstreams) {
 
 TEST(SweepDeterminism, ReportAggregatesOutcomes) {
   const auto grid = small_grid();
+  const auto regrid0 = dsp::regrid_plan_cache_stats();
+  const std::uint64_t awgn0 = rf::awgn_samples_added();
   const auto r = core::SweepRunner(small_uplink_options(1)).run(grid);
+  const auto regrid1 = dsp::regrid_plan_cache_stats();
   EXPECT_EQ(r.report.uplink_frames, grid.size() * 1u);
   EXPECT_EQ(r.report.detection_attempts, grid.size() * 1u);
-  // The sweep exercises the regrid path on every frame; the plan cache must
-  // have seen traffic and the batched AWGN counter must have advanced.
-  EXPECT_GT(r.report.regrid_plan_hits + r.report.regrid_plan_misses, 0u);
-  EXPECT_GT(r.report.awgn_samples, 0u);
+  // The sweep exercises the regrid path on every frame; the process-wide
+  // plan cache must have seen traffic and the batched AWGN counter must
+  // have advanced.
+  EXPECT_GT(regrid1.hits + regrid1.misses, regrid0.hits + regrid0.misses);
+  EXPECT_GT(rf::awgn_samples_added(), awgn0);
+}
+
+/// Every point of @p grid run on its own, as SweepRunner derives it (stream
+/// i = master seed after i jumps, cfg.seed drawn from it, the shared-
+/// alphabet simulator driven through the sweep form of measure_*), with the
+/// simulators' reports merged in grid order.
+obs::RunReport standalone_report(const core::SweepOptions& opts,
+                                 const std::vector<core::SweepPoint>& grid) {
+  obs::RunReport merged;
+  Rng walker(opts.master_seed);
+  const core::SweepWorkload& w = opts.workload;
+  for (const auto& point : grid) {
+    Rng stream = walker;
+    walker.jump();
+    core::SystemConfig cfg = point.config;
+    cfg.seed = stream.next_u64();
+    cfg.dsp_threads = 1;
+    const phy::SlopeAlphabet alphabet = cfg.make_alphabet();
+    core::LinkSimulator sim(cfg, alphabet);
+    switch (opts.mode) {
+      case core::SweepMode::kDownlinkBer:
+        core::measure_downlink_ber(sim, w.min_bits, w.payload_bits, stream);
+        break;
+      case core::SweepMode::kUplink:
+        core::measure_uplink(sim, w.frames, w.bits_per_frame, w.downlink_active,
+                             stream);
+        break;
+      case core::SweepMode::kLocalization:
+        core::measure_localization(sim, w.frames, w.downlink_active, stream);
+        break;
+      case core::SweepMode::kIntegrated:
+        core::measure_integrated(sim, w.frames, w.payload_bits, w.uplink_bits,
+                                 stream);
+        break;
+    }
+    merged.merge(sim.report());
+  }
+  return merged;
+}
+
+TEST(SweepDeterminism, ReportIsMergedSimulatorReports) {
+  const auto grid = small_grid();
+
+  core::SweepOptions downlink;
+  downlink.mode = core::SweepMode::kDownlinkBer;
+  downlink.master_seed = 271;
+  downlink.threads = 2;
+  downlink.workload.min_bits = 240;
+  downlink.workload.payload_bits = 120;
+  const auto d = core::SweepRunner(downlink).run(grid);
+  EXPECT_EQ(d.report.outcome_key(), standalone_report(downlink, grid).outcome_key());
+  EXPECT_GT(d.report.sync_attempts, 0u);
+  EXPECT_EQ(d.report.crc_attempts, d.report.sync_attempts);
+
+  const core::SweepOptions uplink = small_uplink_options(2);
+  const auto u = core::SweepRunner(uplink).run(grid);
+  EXPECT_EQ(u.report.outcome_key(), standalone_report(uplink, grid).outcome_key());
+  EXPECT_GT(u.report.chirps_processed, 0u);
+
+  // Integrated points carry the dropped-reply-bits counter, which
+  // outcome_key() leaves out, so it is compared on its own.
+  core::SweepOptions isac;
+  isac.mode = core::SweepMode::kIntegrated;
+  isac.master_seed = 99;
+  isac.threads = 2;
+  isac.workload.frames = 2;
+  isac.workload.payload_bits = 80;
+  const auto g = core::SweepRunner(isac).run(grid);
+  const obs::RunReport g_ref = standalone_report(isac, grid);
+  EXPECT_EQ(g.report.outcome_key(), g_ref.outcome_key());
+  EXPECT_EQ(g.report.uplink_bits_dropped, g_ref.uplink_bits_dropped);
+  EXPECT_EQ(g.report.uplink_bits + g.report.uplink_bits_dropped,
+            grid.size() * isac.workload.frames * isac.workload.uplink_bits);
 }
 
 }  // namespace
