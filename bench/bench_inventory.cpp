@@ -222,7 +222,7 @@ bool parity_gate(std::size_t population, std::uint32_t q_initial,
   inv.max_rounds = 32;
 
   core::InventoryConfig seq = inv;
-  seq.batched = false;
+  seq.slots_per_batch = 1;
   net.base.dsp_threads = 1;
   core::InventoryEngine reference(net, seq);
   reference.run_until_drained();

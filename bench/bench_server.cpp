@@ -343,7 +343,7 @@ bool write_bench_json(const std::string& path) {
     for (std::size_t s = 0; s < obs::kServerStages; ++s) {
       const auto& st = r.stages[s];
       out << (s == 0 ? "" : ", ") << "\""
-          << obs::server_stage_name(static_cast<obs::ServerStage>(s))
+          << obs::stage_name(static_cast<obs::ServerStage>(s))
           << "\": {\"frames\": " << st.frames << "}";
     }
     out << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";

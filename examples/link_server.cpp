@@ -52,7 +52,7 @@ int main() {
     const auto stage = static_cast<obs::ServerStage>(s);
     const obs::StageQueueStats st = server.stats().snapshot(stage);
     std::printf("  %-10s %4llu frames  mean %8.1f us  p50 %8.1f us\n",
-                obs::server_stage_name(stage),
+                obs::stage_name(stage),
                 static_cast<unsigned long long>(st.frames), st.mean_busy_us(),
                 server.stats().busy_latency(stage).p50() / 1e3);
   }

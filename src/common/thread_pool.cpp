@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -12,13 +11,6 @@
 
 namespace bis {
 namespace {
-
-std::uint64_t pool_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Set while a pool worker (or a caller draining a parallel_for) is inside
 /// user code, so nested parallel_for calls degrade to inline execution
@@ -134,7 +126,7 @@ void ThreadPool::worker_loop() {
           obs::Histogram::exponential_bounds(1.0, 1e6, 25));
       static obs::Counter& executed =
           obs::Registry::instance().counter("bis.pool.tasks_executed");
-      latency.observe(static_cast<double>(pool_now_ns() - loop->enqueue_ns) / 1e3);
+      latency.observe(static_cast<double>(obs::now_ns() - loop->enqueue_ns) / 1e3);
       executed.add();
     }
     loop->drain();
@@ -171,7 +163,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       // of a lane's share, apart. Floor of 1 keeps tiny loops correct.
       loop->grain = std::max<std::size_t>(1, n / (16 * size()));
       loop->next.store(begin, std::memory_order_relaxed);
-      loop->enqueue_ns = obs::enabled() ? pool_now_ns() : 0;
+      loop->enqueue_ns = obs::enabled() ? obs::now_ns() : 0;
       loop->next_loop = nullptr;
       loop->wanted = std::min(workers_.size(), n - 1);
       loop->claimed = 0;

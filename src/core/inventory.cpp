@@ -1,7 +1,6 @@
 #include "core/inventory.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -12,14 +11,6 @@
 namespace bis::core {
 
 namespace {
-
-double now_s() {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count()) /
-         1e9;
-}
 
 std::uint32_t clamp_q(double q_fp, std::uint32_t q_min, std::uint32_t q_max) {
   const long long q = std::llround(q_fp);
@@ -168,8 +159,7 @@ void InventoryEngine::simulate_slots(
     std::span<const std::uint64_t> occupied_slot, InventoryRound& round) {
   const std::size_t n_occupied = occupied_slot.size();
   const std::size_t m = inventory_.slot_chirps;
-  const std::size_t batch =
-      inventory_.batched ? inventory_.slots_per_batch : 1;
+  const std::size_t batch = inventory_.slots_per_batch;
 
   for (std::size_t done = 0; done < n_occupied; done += batch) {
     const std::size_t take = std::min(batch, n_occupied - done);
@@ -191,26 +181,14 @@ void InventoryEngine::simulate_slots(
     ++report_.uplink_frames;
     report_.chirps_processed += take * m;
     detections_.resize(targets_.size());
-    if (inventory_.batched) {
-      detector_.detect_slots(aligned, spans_, targets_, detections_, pool_);
-    } else {
-      // Normative reference: the whole (single-slot) frame through
-      // detect_many, exactly as a standalone per-slot simulation would.
-      detector_.detect_many(
-          aligned,
-          std::span<const radar::TagTarget>(targets_.data(),
-                                            inventory_.n_channels),
-          std::span<radar::TagDetection>(detections_.data(),
-                                         inventory_.n_channels),
-          pool_);
-    }
+    detector_.detect_slots(aligned, spans_, targets_, detections_, pool_);
     resolve_batch(jobs_, aligned, spans_, detections_, round);
   }
 }
 
 InventoryRound InventoryEngine::run_round() {
   BIS_TRACE_SPAN("core.inventory_round");
-  const double t0 = now_s();
+  const std::uint64_t t0 = obs::now_ns();
   InventoryRound round;
   round.round = static_cast<std::uint32_t>(round_no_);
   round.q = clamp_q(q_fp_, inventory_.q_min, inventory_.q_max);
@@ -294,7 +272,7 @@ InventoryRound InventoryEngine::run_round() {
   }
   round.q_fp_after = q_fp_;
   round.pending_after = pending_;
-  round.seconds = now_s() - t0;
+  round.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
 
   ++report_.inventory_rounds;
   report_.inventory_slots += round.slots;

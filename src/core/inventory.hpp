@@ -14,10 +14,12 @@
 /// multi-slot slow-time frames (core::SlotFrameAssembler), one range-FFT +
 /// IF-correction pass per batch, and ONE radar::TagDetector::detect_slots
 /// pass scoring every (slot, channel) pair, fanned across the thread pool.
-/// The sequential reference simulates one standalone frame per slot through
-/// detect_many. Both paths share every decision input bit-for-bit, so the
-/// inventoried set and the per-round counters are identical at any batch
-/// size, thread count, SIMD target, and numeric tier.
+/// The sequential reference is the same engine at slots_per_batch = 1: one
+/// standalone frame per slot. Every batch size shares every decision input
+/// bit-for-bit, so the inventoried set and the per-round counters are
+/// identical at any batch size, thread count, SIMD target, and numeric tier
+/// (detect_slots scores a window exactly as detect_many scores a standalone
+/// frame — one scoring pass behind both).
 ///
 /// Tags respond on a small plan of resolvable slow-time channels instead of
 /// globally unique frequencies: 2^15 slots × 10^5 tags cannot have one tone
@@ -57,11 +59,10 @@ struct InventoryConfig {
   std::size_t n_channels = 8;      ///< Slow-time channel plan size. Must be
                                    ///< resolvable in a slot window:
                                    ///< spacing ≥ 2/(slot_chirps·T).
-  std::size_t slots_per_batch = 32;  ///< Occupied slots per batched frame.
-  bool batched = true;             ///< false = one standalone frame per slot
-                                   ///< through detect_many (the normative
-                                   ///< reference the batched path is gated
-                                   ///< against).
+  std::size_t slots_per_batch = 32;  ///< Occupied slots per batched frame;
+                                     ///< 1 = one standalone frame per slot,
+                                     ///< the reference larger batches are
+                                     ///< gated against.
   std::size_t max_rounds = 256;    ///< run_until_drained() safety cap.
 };
 

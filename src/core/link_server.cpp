@@ -136,37 +136,18 @@ LinkServer::~LinkServer() {
 
 void LinkServer::run_link(std::size_t link, std::size_t frames) {
   LinkState& st = *links_[link];
-  UplinkFrameJob& job = st.job;
-  // Stamps are 0 with telemetry off; record() then only counts the frame.
-  const auto stamp = [this](obs::ServerStage stage, std::uint64_t t0) {
-    const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
-    stats_.record(stage, 0, t1 - t0);
-    return t1;
-  };
   for (std::size_t f = 0; f < frames; ++f) {
-    const std::uint64_t start = obs::ServerStatsCollector::now_ns();
-    job.reset_result();
+    const std::uint64_t start = obs::enabled() ? obs::now_ns() : 0;
     st.frame_bits.clear();
     for (std::size_t b = 0; b < config_.bits_per_frame; ++b)
       st.frame_bits.push_back(st.payload_rng.coin() ? 1 : 0);
-    st.sim->prepare_uplink_frame(st.frame_bits, config_.downlink_active, job);
-    st.sim->stage_synthesize(job);
-    std::uint64_t t = stamp(obs::ServerStage::kSynthesize, start);
-    st.sim->stage_range_fft(job, nullptr);
-    t = stamp(obs::ServerStage::kRangeFft, t);
-    st.sim->stage_if_correct(job, nullptr);
-    t = stamp(obs::ServerStage::kIfCorrect, t);
-    st.sim->stage_detect(job, nullptr);
-    t = stamp(obs::ServerStage::kDetect, t);
-    st.sim->stage_decode(job);
-    stamp(obs::ServerStage::kDecode, t);
-    st.sim->fold_uplink_frame(job);
+    st.sim->prepare_uplink_frame(st.frame_bits, config_.downlink_active,
+                                 st.job);
+    const UplinkRunResult& r = st.sim->run_frame(st.job, nullptr, &stats_);
     if (config_.collect_bits)
-      st.decoded_bits.insert(st.decoded_bits.end(),
-                             job.result.decode.bits.begin(),
-                             job.result.decode.bits.end());
-    if (start != 0)
-      stats_.record_e2e(obs::ServerStatsCollector::now_ns() - start);
+      st.decoded_bits.insert(st.decoded_bits.end(), r.decode.bits.begin(),
+                             r.decode.bits.end());
+    if (start != 0) stats_.record_e2e(obs::now_ns() - start);
   }
   if (on_link_done) on_link_done(link, *st.sim);
 }

@@ -10,11 +10,13 @@
 /// ## Execution
 ///
 /// run(frames) is one parallel_for over links. A lane that claims link i
-/// advances it through all of its frames with the LinkSimulator stage API,
+/// advances it through all of its frames: it draws the payload, calls
+/// LinkSimulator::prepare_uplink_frame, then LinkSimulator::run_frame,
 ///
-///   prepare → synthesize → range_fft → if_correct → detect → decode → fold
+///   synthesize → range_fft → if_correct → detect → decode → fold
 ///
-/// stamping each stage's busy time into stats(). Each link owns one
+/// whose obs::StageScope timers record each stage's busy time into stats()
+/// and the link's own report alike. Each link owns one
 /// UplinkFrameJob whose buffers are reused forever, and the pool recycles
 /// its loop states, so the steady-state frame loop performs no heap
 /// allocation. A frame never waits in a queue between stages: queue wait
@@ -131,7 +133,9 @@ class LinkServer {
   /// All links' reports merged (outcome counters add; see RunReport::merge).
   obs::RunReport merged_report() const;
 
-  /// Per-stage frame counts and busy times, and end-to-end frame latency.
+  /// Per-stage frame counts and busy times, and end-to-end frame latency
+  /// (payload draw through fold). With telemetry on, a stage's busy time
+  /// equals the sum of the links' RunReport::stage_s for that stage.
   const obs::ServerStatsCollector& stats() const { return stats_; }
 
  private:

@@ -219,14 +219,14 @@ DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {
   std::fill_n(flags.get(), frame.size(), true);
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage.tag_frontend_s);
+    obs::StageScope scope(obs::Stage::kTagFrontend, report_);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), frame.size()));
   }
 
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage.tag_decode_s);
+    obs::StageScope scope(obs::Stage::kTagDecode, report_);
     reception = tag_.receive_downlink(stream, config_.packet);
   }
 
@@ -259,13 +259,6 @@ void LinkSimulator::record_downlink(const DownlinkRunResult& result) {
   if (result.crc_ok) ++report_.crc_passes;
   report_.downlink_bits += result.bits_compared;
   report_.downlink_bit_errors += result.bit_errors;
-}
-
-std::vector<radar::IfReturn> LinkSimulator::chirp_returns(
-    double tag_amplitude_factor) const {
-  std::vector<radar::IfReturn> returns;
-  chirp_returns_into(tag_amplitude_factor, returns);
-  return returns;
 }
 
 void LinkSimulator::chirp_returns_into(double tag_amplitude_factor,
@@ -409,47 +402,37 @@ void LinkSimulator::fold_uplink_frame(const UplinkFrameJob& job) {
   report_.uplink_bit_errors += job.result.bit_errors;
 }
 
-UplinkRunResult LinkSimulator::run_prepared_frame(UplinkFrameJob& job) {
+const UplinkRunResult& LinkSimulator::run_frame(
+    UplinkFrameJob& job, ThreadPool* pool, obs::ServerStatsCollector* server) {
   BIS_TRACE_SPAN("core.uplink_frame");
   job.reset_result();
   {
-    obs::StageTimer timer(report_.stage.if_synthesis_s);
+    obs::StageScope scope(obs::Stage::kSynthesize, report_, server);
     stage_synthesize(job);
   }
   {
-    obs::StageTimer timer(report_.stage.range_fft_s);
-    stage_range_fft(job, pool_);
+    obs::StageScope scope(obs::Stage::kRangeFft, report_, server);
+    stage_range_fft(job, pool);
   }
   {
-    obs::StageTimer timer(report_.stage.if_correction_s);
-    stage_if_correct(job, pool_);
+    obs::StageScope scope(obs::Stage::kIfCorrect, report_, server);
+    stage_if_correct(job, pool);
   }
   {
-    obs::StageTimer timer(report_.stage.detect_s);
-    stage_detect(job, pool_);
+    obs::StageScope scope(obs::Stage::kDetect, report_, server);
+    stage_detect(job, pool);
   }
   {
-    obs::StageTimer timer(report_.stage.uplink_decode_s);
+    obs::StageScope scope(obs::Stage::kDecode, report_, server);
     stage_decode(job);
   }
   fold_uplink_frame(job);
   return job.result;
 }
 
-UplinkRunResult LinkSimulator::process_uplink_frame(
-    const std::vector<rf::ChirpParams>& chirps, const std::vector<int>& tag_states,
-    const phy::Bits& sent_bits, bool downlink_active) {
-  BIS_CHECK(chirps.size() == tag_states.size());
-  seq_job_.sent_bits.assign(sent_bits.begin(), sent_bits.end());
-  seq_job_.downlink_active = downlink_active;
-  seq_job_.chirps.assign(chirps.begin(), chirps.end());
-  seq_job_.tag_states.assign(tag_states.begin(), tag_states.end());
-  return run_prepared_frame(seq_job_);
-}
-
 UplinkRunResult LinkSimulator::run_uplink(const phy::Bits& bits, bool downlink_active) {
   prepare_uplink_frame(bits, downlink_active, seq_job_);
-  return run_prepared_frame(seq_job_);
+  return run_frame(seq_job_, pool_);
 }
 
 IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
@@ -468,8 +451,11 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   // payload symbol goes out on the next chirp the tag will absorb (the radar
   // assigned the modulation pattern, so it knows the schedule); reflective
   // chirps repeat the previous slot as sensing filler the tag never sees.
-  std::vector<rf::ChirpParams> chirps;
-  std::vector<int> states;
+  // The schedule is the sequential uplink job's input.
+  std::vector<rf::ChirpParams>& chirps = seq_job_.chirps;
+  std::vector<int>& states = seq_job_.tag_states;
+  chirps.clear();
+  states.clear();
   std::size_t frame_start = 0;     // chirp index where the preamble begins
   std::size_t emitted_preamble = 0;
   std::size_t next_symbol = preamble;  // index into packet_slots
@@ -503,6 +489,9 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
     BIS_CHECK_MSG(chirps.size() < 100000, "integrated schedule failed to place payload");
   }
   (void)frame_start;
+  // The frame ends here: reply bits it had no room for are dropped, not
+  // carried into the next frame (they are counted in uplink_bits_dropped).
+  tag_.modulator().discard_pending();
 
   // --- Tag side: decode the downlink from the absorptive chirps. ---
   const auto paths = incident_paths(config_.tag_range_m);
@@ -511,14 +500,14 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   for (std::size_t i = 0; i < chirps.size(); ++i) flags[i] = states[i] == 0;
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage.tag_frontend_s);
+    obs::StageScope scope(obs::Stage::kTagFrontend, report_);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), chirps.size()));
   }
   const std::vector<bool> mask(flags.get(), flags.get() + chirps.size());
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage.tag_decode_s);
+    obs::StageScope scope(obs::Stage::kTagDecode, report_);
     reception = tag_.receive_downlink(stream, config_.packet, mask);
   }
 
@@ -543,13 +532,13 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   const std::size_t block = ul.chirps_per_symbol;
   const std::size_t usable_symbols = chirps.size() / block;
   const std::size_t bps = phy::uplink_bits_per_symbol(ul);
-  phy::Bits comparable(
-      uplink_bits.begin(),
-      uplink_bits.begin() +
-          static_cast<long>(std::min(uplink_bits.size(), usable_symbols * bps)));
-  result.uplink = process_uplink_frame(chirps, states, comparable,
-                                       /*downlink_active=*/true);
-  report_.uplink_bits_dropped += uplink_bits.size() - comparable.size();
+  const std::size_t comparable =
+      std::min(uplink_bits.size(), usable_symbols * bps);
+  seq_job_.sent_bits.assign(uplink_bits.begin(),
+                            uplink_bits.begin() + static_cast<long>(comparable));
+  seq_job_.downlink_active = true;
+  result.uplink = run_frame(seq_job_, pool_);
+  report_.uplink_bits_dropped += uplink_bits.size() - comparable;
   return result;
 }
 

@@ -118,18 +118,19 @@ class LinkSimulator {
   /// Fully integrated frame: downlink packet + uplink bits + localization.
   /// Only the reply bits in the whole uplink symbols the frame's chirps
   /// carry are compared; the rest count in the report's
-  /// `uplink_bits_dropped`, not in `uplink_bits`.
+  /// `uplink_bits_dropped`, not in `uplink_bits`, and the tag modulator
+  /// discards them, so the next frame's reply starts on its chirp 0.
   IsacRunResult run_integrated(const phy::Bits& downlink_payload,
                                const phy::Bits& uplink_bits);
 
-  // ---- Stage API (used by core::LinkServer) ----
+  // ---- Stage API ----
   //
   // An uplink frame advances prepare → synthesize → range_fft → if_correct
   // → detect → decode → fold. prepare/synthesize/fold mutate per-link state
   // (tag modulator, RNG, report) and must run frame-ordered on one thread at
   // a time per link; the const stages are pure per-job maps, safe on any
-  // worker thread. Running the stages in order on one job reproduces
-  // run_uplink bit-for-bit.
+  // worker thread. run_frame is the one place that sequence is written out;
+  // run_uplink, run_integrated and core::LinkServer all drive it.
 
   /// Queue @p bits on the tag, draw the frame's chirp schedule, and fill the
   /// job's inputs. Consumes per-link RNG exactly like run_uplink.
@@ -145,6 +146,14 @@ class LinkSimulator {
   void stage_decode(UplinkFrameJob& job) const;
   /// Accumulate the finished frame into the link's report (frame-ordered).
   void fold_uplink_frame(const UplinkFrameJob& job);
+
+  /// Drive a job whose inputs are filled (by prepare_uplink_frame, or by
+  /// run_integrated's schedule) through synthesize … decode on @p pool and
+  /// fold it. Each stage runs under an obs::StageScope into this
+  /// simulator's report and, when given, @p server's collector. Returns
+  /// the job's result (a reference into @p job: no copy, no allocation).
+  const UplinkRunResult& run_frame(UplinkFrameJob& job, ThreadPool* pool,
+                                   obs::ServerStatsCollector* server = nullptr);
 
   /// Pre-build every size-dependent shared cache entry (Hann windows, FFT
   /// plans, and — when the IF-correction grid is pinned via
@@ -180,8 +189,9 @@ class LinkSimulator {
 
   /// Structured stats accumulated across every run_* call on this
   /// simulator, keyed by config_key(config()). Outcome counters are always
-  /// maintained; the per-stage timers fill only while telemetry is enabled
-  /// (obs::set_enabled or BIS_TRACE).
+  /// maintained; the per-stage seconds (`stage_s`, seven obs::Stage
+  /// entries) fill only while telemetry is enabled (obs::set_enabled or
+  /// BIS_TRACE).
   obs::RunReport report() const;
   std::string report_json() const;
 
@@ -190,19 +200,8 @@ class LinkSimulator {
 
  private:
   /// IF returns for one chirp given the tag's reflective amplitude factor.
-  std::vector<radar::IfReturn> chirp_returns(double tag_amplitude_factor) const;
   void chirp_returns_into(double tag_amplitude_factor,
                           std::vector<radar::IfReturn>& out) const;
-
-  UplinkRunResult process_uplink_frame(const std::vector<rf::ChirpParams>& chirps,
-                                       const std::vector<int>& tag_states,
-                                       const phy::Bits& sent_bits,
-                                       bool downlink_active);
-
-  /// Drive a job whose inputs are filled through all stages (with the
-  /// sequential-path stage timers) and fold it. Backs run_uplink and
-  /// process_uplink_frame.
-  UplinkRunResult run_prepared_frame(UplinkFrameJob& job);
 
   /// Fold a finished downlink decode into report_ (shared by run_downlink
   /// and run_integrated).
@@ -221,7 +220,7 @@ class LinkSimulator {
   radar::UplinkDecoder uplink_decoder_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When config_.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< nullptr = sequential.
-  UplinkFrameJob seq_job_;  ///< Reused by the sequential run_* path.
+  UplinkFrameJob seq_job_;  ///< Reused by run_uplink and run_integrated.
   std::size_t max_chirp_samples_ = 0;  ///< Worst case over the alphabet —
   std::size_t max_fft_bins_ = 0;       ///< prepare_uplink_frame reserves
                                        ///< these so per-chirp buffers never

@@ -62,6 +62,7 @@ std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
 BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
     : config_(config),
       alphabet_(config.base.make_alphabet()),
+      sense_rng_(config.base.seed ^ 0x5E25Eull),
       processor_(radar::RangeProcessorConfig{}),
       aligner_(config.base.if_correction),
       detector_(network_detector_config(config)) {
@@ -143,12 +144,12 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
     tag.node.frontend().auto_gain(paths);
     dsp::RVec stream;
     {
-      obs::StageTimer timer(report_.stage.tag_frontend_s);
+      obs::StageScope scope(obs::Stage::kTagFrontend, report_);
       stream = tag.node.frontend().receive_frame(chirps, paths, flags);
     }
     tag::TagNode::DownlinkReception rx;
     {
-      obs::StageTimer timer(report_.stage.tag_decode_s);
+      obs::StageScope scope(obs::Stage::kTagDecode, report_);
       rx = tag.node.receive_downlink(stream, pkt);
     }
 
@@ -175,7 +176,6 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
 std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   BIS_TRACE_SPAN("core.network_sense");
   const auto& base = config_.base;
-  Rng rng(base.seed ^ 0x5E25Eull);
 
   // Per-chirp schedule: every tag beacons at its own frequency.
   const std::size_t n_chirps = config_.frame_chirps;
@@ -185,12 +185,13 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   for (std::size_t i = 0; i < n_chirps; ++i) {
     const std::size_t slot =
         downlink_active
-            ? alphabet_.slot_for_data(rng.uniform_index(alphabet_.data_symbol_count()))
+            ? alphabet_.slot_for_data(
+                  sense_rng_.uniform_index(alphabet_.data_symbol_count()))
             : fixed_slot;
     chirps_.push_back(alphabet_.chirp(slot));
   }
 
-  radar::IfSynthesizer synth(base.radar.if_synth, rng.fork());
+  radar::IfSynthesizer synth(base.radar.if_synth, sense_rng_.fork());
 
   // Synthesis stays sequential (single RNG stream); the frame DSP below
   // fans across the pool with bit-identical results. The shared returns_
@@ -201,7 +202,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   report_.mod_freq_collisions += collisions_;
   if_samples_.resize(n_chirps);
   {
-    obs::StageTimer timer(report_.stage.if_synthesis_s);
+    obs::StageScope scope(obs::Stage::kSynthesize, report_);
     for (std::size_t c = 0; c < n_chirps; ++c) {
       const double t = static_cast<double>(c) * base.radar.chirp_period_s;
       for (std::size_t i = 0; i < tags_.size(); ++i) {
@@ -215,13 +216,13 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
     }
   }
   {
-    obs::StageTimer timer(report_.stage.range_fft_s);
+    obs::StageScope scope(obs::Stage::kRangeFft, report_);
     processor_.process_frame_into(if_samples_, chirps_,
                                   base.radar.if_synth.sample_rate_hz, pool_,
                                   profiles_);
   }
   {
-    obs::StageTimer timer(report_.stage.if_correction_s);
+    obs::StageScope scope(obs::Stage::kIfCorrect, report_);
     aligner_.align_into(profiles_, pool_, aligned_);
     if (base.use_background_subtraction) radar::subtract_background(aligned_, 0);
   }
@@ -230,7 +231,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   // decision- and score-identical to a per-tag sequential detect loop.
   detections_.resize(targets_.size());
   {
-    obs::StageTimer timer(report_.stage.detect_s);
+    obs::StageScope scope(obs::Stage::kDetect, report_);
     detector_.detect_many(aligned_, targets_, detections_, pool_);
   }
 

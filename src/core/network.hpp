@@ -74,7 +74,9 @@ class BiScatterNetwork {
   /// One sensing frame with every tag beaconing at its own frequency;
   /// the radar localizes each tag. One IF synthesis + range FFT + alignment
   /// pass for the whole network, then one batched detect_many call scoring
-  /// every tag's frequency signature against the shared spectra.
+  /// every tag's frequency signature against the shared spectra. Each call
+  /// continues the network's sensing RNG stream, so consecutive frames draw
+  /// independent schedules and noise.
   std::vector<TagObservation> sense_all(bool downlink_active = false);
 
   const NetworkConfig& config() const { return config_; }
@@ -119,6 +121,8 @@ class BiScatterNetwork {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When base.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< Frame DSP pool (see SystemConfig).
   obs::RunReport report_;                   ///< Radar-side run telemetry.
+  Rng sense_rng_;  ///< sense_all's chirp schedule and noise; seeded once,
+                   ///< so each sensing frame draws fresh ones.
 
   // Shared radar-side pipeline stages, constructed once.
   radar::RangeProcessor processor_;

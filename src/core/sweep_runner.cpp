@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/server_stats.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bis::core {
@@ -107,7 +106,7 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
   std::vector<obs::RunReport> partials(grid.size());
   const SweepWorkload& w = options_.workload;
   bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
-    const std::uint64_t t0 = obs::ServerStatsCollector::now_ns();
+    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
     SystemConfig cfg = grid[i].config;
     Rng rng = streams[i];
     cfg.seed = rng.next_u64();  // sim-internal streams derive from this
@@ -139,7 +138,7 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
     }
     partials[i] = sim.report();
     if (t0 != 0) {
-      const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
+      const std::uint64_t t1 = obs::now_ns();
       if (t1 > t0) point_us.record((t1 - t0) / 1000);
     }
     points_done.add(1);

@@ -1,11 +1,11 @@
 #include "obs/report.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "common/json.hpp"
+#include "obs/server_stats.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bis::obs {
@@ -15,14 +15,20 @@ double rate(std::uint64_t num, std::uint64_t den) {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
+
+const char* stage_name(Stage stage) {
+  switch (stage) {
+    case Stage::kSynthesize: return "synthesize";
+    case Stage::kRangeFft: return "range_fft";
+    case Stage::kIfCorrect: return "if_correct";
+    case Stage::kDetect: return "detect";
+    case Stage::kDecode: return "decode";
+    case Stage::kTagFrontend: return "tag_frontend";
+    case Stage::kTagDecode: return "tag_decode";
+  }
+  return "?";
+}
 
 double RunReport::sync_lock_rate() const { return rate(sync_locks, sync_attempts); }
 double RunReport::crc_pass_rate() const { return rate(crc_passes, crc_attempts); }
@@ -62,13 +68,7 @@ void RunReport::merge(const RunReport& other) {
   inventory_reads += other.inventory_reads;
   detector_snr_sum_db += other.detector_snr_sum_db;
   last_detector_snr_db = other.last_detector_snr_db;
-  stage.if_synthesis_s += other.stage.if_synthesis_s;
-  stage.range_fft_s += other.stage.range_fft_s;
-  stage.if_correction_s += other.stage.if_correction_s;
-  stage.detect_s += other.stage.detect_s;
-  stage.uplink_decode_s += other.stage.uplink_decode_s;
-  stage.tag_frontend_s += other.stage.tag_frontend_s;
-  stage.tag_decode_s += other.stage.tag_decode_s;
+  for (std::size_t i = 0; i < kStages; ++i) stage_s[i] += other.stage_s[i];
 }
 
 void RunReport::append_json(std::string& out) const {
@@ -116,13 +116,8 @@ void RunReport::append_json(std::string& out) const {
   w.key("empty_slot_rate").value(rate(inventory_idles, inventory_slots));
   w.end_object();
   w.key("stage_seconds").begin_object();
-  w.key("if_synthesis").value(stage.if_synthesis_s);
-  w.key("range_fft").value(stage.range_fft_s);
-  w.key("if_correction").value(stage.if_correction_s);
-  w.key("detect").value(stage.detect_s);
-  w.key("uplink_decode").value(stage.uplink_decode_s);
-  w.key("tag_frontend").value(stage.tag_frontend_s);
-  w.key("tag_decode").value(stage.tag_decode_s);
+  for (std::size_t i = 0; i < kStages; ++i)
+    w.key(stage_name(static_cast<Stage>(i))).value(stage_s[i]);
   w.end_object();
   w.end_object();
 }
@@ -150,14 +145,20 @@ std::string RunReport::outcome_key() const {
   return oss.str();
 }
 
-StageTimer::StageTimer(double& accum_s)
-    : accum_s_(enabled() ? &accum_s : nullptr) {
-  if (accum_s_ != nullptr) start_ns_ = mono_ns();
+StageScope::StageScope(Stage stage, RunReport& report,
+                       ServerStatsCollector* server)
+    : stage_(stage), report_(report), server_(server), timed_(enabled()) {
+  if (timed_) start_ns_ = now_ns();
 }
 
-StageTimer::~StageTimer() {
-  if (accum_s_ != nullptr)
-    *accum_s_ += static_cast<double>(mono_ns() - start_ns_) / 1e9;
+StageScope::~StageScope() {
+  std::uint64_t busy_ns = 0;
+  if (timed_) {
+    busy_ns = now_ns() - start_ns_;
+    report_.stage_s[static_cast<std::size_t>(stage_)] +=
+        static_cast<double>(busy_ns) / 1e9;
+  }
+  if (server_ != nullptr) server_->record(stage_, 0, busy_ns);
 }
 
 }  // namespace bis::obs

@@ -13,27 +13,44 @@
 /// (`dsp::fft_plan_cache_stats`, `dsp::regrid_plan_cache_stats`,
 /// `dsp::window_cache_size`, `rf::awgn_samples_added`).
 ///
+/// This header also holds the subsystem's one stage vocabulary (`Stage`,
+/// `stage_name`) and its one stage timer (`StageScope`). Every engine times
+/// its stages with a StageScope into `RunReport::stage_s`; the LinkServer
+/// passes its ServerStatsCollector too, so the collector's busy time and the
+/// merged reports' stage seconds are the same measurement.
+///
 /// The outcome counters are plain integers updated from the (sequential)
-/// run_* methods — always on, effectively free. The stage timers are gated
-/// by `obs::enabled()` via `StageTimer`, so the disabled cost is one relaxed
+/// run_* methods — always on, effectively free. The stage timers read the
+/// clock only while `obs::enabled()`, so the disabled cost is one relaxed
 /// load per stage per frame.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
 namespace bis::obs {
 
-/// Accumulated wall time per pipeline stage, seconds.
-struct StageTimes {
-  double if_synthesis_s = 0.0;
-  double range_fft_s = 0.0;
-  double if_correction_s = 0.0;  ///< IF-correction regrid (RangeAligner).
-  double detect_s = 0.0;
-  double uplink_decode_s = 0.0;
-  double tag_frontend_s = 0.0;
-  double tag_decode_s = 0.0;
+class ServerStatsCollector;
+
+/// The stages of the paper's frame, in flow order: the radar's uplink
+/// pipeline (IF synthesis, range FFT, IF correction — Fig. 7 — slow-time
+/// detection, symbol decode), then the tag's downlink receiver.
+enum class Stage : std::size_t {
+  kSynthesize = 0,
+  kRangeFft,
+  kIfCorrect,
+  kDetect,
+  kDecode,
+  kTagFrontend,
+  kTagDecode,
 };
+inline constexpr std::size_t kStages = 7;
+
+/// The stage's name in every export: RunReport JSON, the server collector's
+/// JSON and Prometheus labels.
+const char* stage_name(Stage stage);
 
 struct RunReport {
   std::string config;  ///< Configuration key (core::config_key).
@@ -82,7 +99,8 @@ struct RunReport {
   std::uint64_t inventory_idles = 0;       ///< Slots nobody answered.
   std::uint64_t inventory_reads = 0;       ///< Tags successfully inventoried.
 
-  StageTimes stage;
+  /// Accumulated wall time per stage, seconds, indexed by Stage.
+  std::array<double, kStages> stage_s{};
 
   double sync_lock_rate() const;
   double crc_pass_rate() const;
@@ -116,18 +134,25 @@ struct RunReport {
   std::string outcome_key() const;
 };
 
-/// RAII stopwatch adding its scope's wall time to a StageTimes field when
-/// telemetry is enabled (latched at construction); a no-op branch otherwise.
-class StageTimer {
+/// RAII stage timer. While telemetry is enabled (latched at construction)
+/// it adds its scope's wall time to `report.stage_s[stage]` and, given a
+/// collector, records the same nanoseconds as the stage's busy time there.
+/// A collector counts the frame either way. Only the radar's uplink stages
+/// (the collector's first kServerStages) may be given a collector.
+class StageScope {
  public:
-  explicit StageTimer(double& accum_s);
-  ~StageTimer();
+  StageScope(Stage stage, RunReport& report,
+             ServerStatsCollector* server = nullptr);
+  ~StageScope();
 
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
 
  private:
-  double* accum_s_;  ///< nullptr when telemetry was off at entry.
+  Stage stage_;
+  RunReport& report_;
+  ServerStatsCollector* server_;
+  bool timed_;
   std::uint64_t start_ns_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "obs/server_stats.hpp"
 
-#include <chrono>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -9,17 +8,6 @@
 #include "obs/telemetry.hpp"
 
 namespace bis::obs {
-
-const char* server_stage_name(ServerStage stage) {
-  switch (stage) {
-    case ServerStage::kSynthesize: return "synthesize";
-    case ServerStage::kRangeFft: return "range_fft";
-    case ServerStage::kIfCorrect: return "if_correct";
-    case ServerStage::kDetect: return "detect";
-    case ServerStage::kDecode: return "decode";
-  }
-  return "?";
-}
 
 double StageQueueStats::mean_busy_us() const {
   return frames == 0 ? 0.0
@@ -46,14 +34,6 @@ void ServerStatsCollector::record(ServerStage stage, std::uint64_t wait_ns,
     wait_ns_[s].record(wait_ns);
     busy_ns_[s].record(busy_ns);
   }
-}
-
-std::uint64_t ServerStatsCollector::now_ns() {
-  if (!enabled()) return 0;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 StageQueueStats ServerStatsCollector::snapshot(ServerStage stage) const {
@@ -95,7 +75,7 @@ void ServerStatsCollector::write_json(std::ostream& os) const {
     const auto stage = static_cast<ServerStage>(i);
     const StageQueueStats s = snapshot(stage);
     if (i != 0) os << ", ";
-    os << "\"" << server_stage_name(stage) << "\": {\"frames\": " << s.frames
+    os << "\"" << stage_name(stage) << "\": {\"frames\": " << s.frames
        << ", \"busy_ns\": " << s.busy_ns
        << ", \"queue_wait_ns\": " << s.queue_wait_ns << ", \"busy_us\": ";
     write_us_quantiles(os, busy_ns_[i]);
@@ -112,7 +92,7 @@ void ServerStatsCollector::write_prometheus(std::ostream& os) const {
   os << "# TYPE bis_server_stage_frames counter\n";
   for (std::size_t i = 0; i < kServerStages; ++i)
     os << "bis_server_stage_frames{stage=\""
-       << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
+       << stage_name(static_cast<ServerStage>(i)) << "\"} "
        << snapshot(static_cast<ServerStage>(i)).frames << "\n";
   const auto summary = [&os](const char* metric, const char* stage,
                              const LatencyHistogram& h) {
@@ -132,11 +112,11 @@ void ServerStatsCollector::write_prometheus(std::ostream& os) const {
   os << "# TYPE bis_server_stage_busy_us summary\n";
   for (std::size_t i = 0; i < kServerStages; ++i)
     summary("bis_server_stage_busy_us",
-            server_stage_name(static_cast<ServerStage>(i)), busy_ns_[i]);
+            stage_name(static_cast<ServerStage>(i)), busy_ns_[i]);
   os << "# TYPE bis_server_stage_wait_us summary\n";
   for (std::size_t i = 0; i < kServerStages; ++i)
     summary("bis_server_stage_wait_us",
-            server_stage_name(static_cast<ServerStage>(i)), wait_ns_[i]);
+            stage_name(static_cast<ServerStage>(i)), wait_ns_[i]);
   os << "# TYPE bis_server_e2e_us summary\n";
   summary("bis_server_e2e_us", nullptr, e2e_ns_);
 }

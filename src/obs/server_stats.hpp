@@ -2,15 +2,16 @@
 
 /// @file server_stats.hpp
 /// Per-stage telemetry for the LinkServer (core/link_server.hpp). Lanes on
-/// many threads stamp each frame's stage busy time into relaxed atomics; the
-/// collector snapshots them into a plain struct for reports and
-/// BENCH_server.json. The LinkServer runs a frame's stages back to back on
-/// one lane, so the queue-wait it records is always zero.
+/// many threads record each frame's stage busy time into relaxed atomics
+/// through obs::StageScope (obs/report.hpp) — the same scope that fills the
+/// link's RunReport::stage_s, so the two always agree. The collector
+/// snapshots them into a plain struct for reports and BENCH_server.json.
+/// The LinkServer runs a frame's stages back to back on one lane, so the
+/// queue-wait it records is always zero.
 ///
-/// Cost model mirrors obs::StageTimer: frame counts are always on (one
-/// relaxed RMW each); the nanosecond clock stamps only run while
-/// obs::enabled() — with telemetry off a stage record is one relaxed
-/// fetch_add and no clock reads.
+/// Cost model is StageScope's: frame counts are always on (one relaxed RMW
+/// each); the clock is read only while obs::enabled() — with telemetry off
+/// a stage record is one relaxed fetch_add and no clock reads.
 
 #include <array>
 #include <atomic>
@@ -19,20 +20,14 @@
 #include <string>
 
 #include "obs/latency_histogram.hpp"
+#include "obs/report.hpp"
 
 namespace bis::obs {
 
-/// The uplink frame's stages, in flow order. Kept in obs (not core) so
-/// report tooling needs no dependency on the engine.
-enum class ServerStage : std::size_t {
-  kSynthesize = 0,
-  kRangeFft,
-  kIfCorrect,
-  kDetect,
-  kDecode,
-};
+/// The server records the radar's uplink stages: the first kServerStages of
+/// obs::Stage, named by obs::stage_name.
+using ServerStage = Stage;
 inline constexpr std::size_t kServerStages = 5;
-const char* server_stage_name(ServerStage stage);
 
 /// Snapshot of one stage's accumulated activity.
 struct StageQueueStats {
@@ -56,12 +51,8 @@ class ServerStatsCollector {
   /// Pass zeros when telemetry is disabled (the frame still counts).
   void record(ServerStage stage, std::uint64_t wait_ns, std::uint64_t busy_ns);
 
-  /// Record one frame's end-to-end latency: frame start → fold done.
+  /// Record one frame's end-to-end latency: payload draw → fold done.
   void record_e2e(std::uint64_t ns) { e2e_ns_.record(ns); }
-
-  /// Monotonic nanosecond stamp, or 0 when telemetry is disabled — feed the
-  /// difference of two stamps straight to record().
-  static std::uint64_t now_ns();
 
   StageQueueStats snapshot(ServerStage stage) const;
 

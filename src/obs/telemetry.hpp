@@ -18,6 +18,8 @@
 ///       BIS_TRACE=0 / unset   leave it off
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -30,6 +32,18 @@ extern std::atomic<bool> g_enabled;
 /// Hot-path check: relaxed load + branch; safe from any thread.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
+}
+
+/// The subsystem's one monotonic clock, in nanoseconds (steady_clock; the
+/// epoch is arbitrary, so only differences mean anything). Stage timers,
+/// trace spans, the thread pool's task latency and the engines' wall times
+/// all read it. It reads the clock unconditionally: callers on a hot path
+/// check enabled() first.
+inline std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 /// Flip the process-wide switch (thread-safe, takes effect immediately;

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -12,18 +11,17 @@
 namespace bis::obs {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-Clock::time_point trace_epoch() {
-  static const Clock::time_point epoch = Clock::now();
+/// obs::now_ns() at the first instrumented event.
+std::uint64_t trace_epoch_ns() {
+  static const std::uint64_t epoch = now_ns();
   return epoch;
 }
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           trace_epoch())
-          .count());
+/// Nanoseconds since the trace epoch (read first, so the very first event
+/// never precedes it).
+std::uint64_t trace_now_ns() {
+  const std::uint64_t epoch = trace_epoch_ns();
+  return now_ns() - epoch;
 }
 
 /// Events are appended by exactly one thread (the owner) under the buffer's
@@ -67,11 +65,11 @@ namespace detail {
 
 std::uint64_t span_begin() {
   ++t_depth;
-  return now_ns();
+  return trace_now_ns();
 }
 
 void span_end(const char* name, std::uint64_t start_ns) {
-  const std::uint64_t end_ns = now_ns();
+  const std::uint64_t end_ns = trace_now_ns();
   --t_depth;
   ThreadBuffer& buf = thread_buffer();
   std::lock_guard<std::mutex> lock(buf.mu);

@@ -15,6 +15,11 @@ void TagModulator::queue_bits(const phy::Bits& bits) {
   queue_.insert(queue_.end(), bits.begin(), bits.end());
 }
 
+void TagModulator::discard_pending() {
+  queue_.clear();
+  pending_states_.clear();
+}
+
 std::vector<int> TagModulator::next_states(std::size_t n_chirps) {
   std::vector<int> out;
   next_states(n_chirps, out);

@@ -34,6 +34,11 @@ class TagModulator {
   /// Bits still queued.
   std::size_t pending_bits() const { return queue_.size(); }
 
+  /// Drop every queued bit and the unemitted states of a partly sent
+  /// symbol: the frame carrying them has ended. The beacon phase carries
+  /// on.
+  void discard_pending();
+
   const phy::UplinkConfig& config() const { return config_; }
 
  private:

@@ -333,12 +333,13 @@ void expect_rounds_equal(const std::vector<InventoryRound>& a,
 
 // The perf headline's correctness contract: the batched engine produces the
 // same inventoried set and the same per-round records as the sequential
-// one-frame-per-slot reference, at different thread counts and batch sizes.
+// one-frame-per-slot reference (slots_per_batch = 1), at different thread
+// counts and batch sizes.
 TEST(Inventory, BatchedMatchesSequentialReference) {
   NetworkConfig net = make_inventory_population(14, small_base());
 
   InventoryConfig seq = small_inventory();
-  seq.batched = false;
+  seq.slots_per_batch = 1;
   net.base.dsp_threads = 1;
   InventoryEngine reference(net, seq);
   reference.run_until_drained();
@@ -346,7 +347,6 @@ TEST(Inventory, BatchedMatchesSequentialReference) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     for (const std::size_t batch : {std::size_t{2}, std::size_t{8}}) {
       InventoryConfig fast = small_inventory();
-      fast.batched = true;
       fast.slots_per_batch = batch;
       net.base.dsp_threads = threads;
       InventoryEngine engine(net, fast);

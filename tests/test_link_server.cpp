@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/link_server.hpp"
+#include "obs/telemetry.hpp"
 
 namespace bis::core {
 namespace {
@@ -126,7 +127,33 @@ TEST(LinkServer, MergedReportAggregatesEveryLink) {
   for (std::size_t s = 0; s < obs::kServerStages; ++s) {
     EXPECT_EQ(server.stats().snapshot(static_cast<obs::ServerStage>(s)).frames,
               kLinks * kFrames)
-        << obs::server_stage_name(static_cast<obs::ServerStage>(s));
+        << obs::stage_name(static_cast<obs::ServerStage>(s));
+  }
+}
+
+TEST(LinkServer, ReportStageSecondsEqualCollectorBusyTime) {
+  // One timer feeds both: with telemetry on, the links' report stage
+  // seconds and the server collector's busy time are the same measurement.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::size_t kLinks = 4;
+  LinkServer server(light_config(kLinks, 2));
+  server.run(3);
+  obs::set_enabled(was_enabled);
+
+  for (std::size_t s = 0; s < obs::kServerStages; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    double report_s = 0.0;
+    for (std::size_t i = 0; i < kLinks; ++i) {
+      const double link_s = server.link(i).report().stage_s[s];
+      EXPECT_GT(link_s, 0.0) << obs::stage_name(stage) << " link " << i;
+      report_s += link_s;
+    }
+    const double busy_s =
+        static_cast<double>(server.stats().snapshot(stage).busy_ns) / 1e9;
+    EXPECT_NEAR(report_s, busy_s, 1e-9 * busy_s) << obs::stage_name(stage);
+    EXPECT_DOUBLE_EQ(server.merged_report().stage_s[s], report_s)
+        << obs::stage_name(stage);
   }
 }
 

@@ -101,6 +101,37 @@ TEST(LinkSimulator, IntegratedFramesCountDroppedReplyBits) {
   EXPECT_NE(sim.report_json().find("\"bits_dropped\""), std::string::npos);
 }
 
+TEST(LinkSimulator, CutReplyBitsLeaveTheModulator) {
+  // A frame too short for the whole reply drops the cut bits; the tag must
+  // drop them too, so the next reply's first symbol opens on the next
+  // frame's chirp 0 instead of behind the cut symbol's leftover states.
+  auto cfg = base_config(4.0, 7);
+  cfg.tag.node.uplink.chirps_per_symbol = 32;
+  cfg.packet.header_chirps = 12;
+  cfg.packet.sync_chirps = 4;
+  LinkSimulator sim(cfg);
+  sim.calibrate_tag();
+  Rng rng(99);
+  std::size_t frames = 0;
+  while (sim.report().uplink_bits_dropped == 0) {
+    ASSERT_LT(frames++, 10u) << "no frame cut the reply";
+    const auto payload = rng.bits(80);
+    sim.run_integrated(payload, rng.bits(4));
+  }
+
+  tag::TagModulator& modulator = sim.tag_node().modulator();
+  const phy::UplinkConfig& ul = modulator.config();
+  const std::size_t bps = phy::uplink_bits_per_symbol(ul);
+  const std::size_t symbol = 1;
+  phy::Bits bits(bps, 0);
+  bits.back() = 1;  // MSB-first encoding of symbol 1
+  modulator.queue_bits(bits);
+  std::vector<int> expected;
+  phy::uplink_append_symbol_states(ul, symbol, expected);
+  ASSERT_EQ(expected.size(), ul.chirps_per_symbol);
+  EXPECT_EQ(modulator.next_states(ul.chirps_per_symbol), expected);
+}
+
 TEST(LinkSimulator, RetroReflectivityBoostsUplink) {
   auto with = base_config(6.0);
   auto without = base_config(6.0);

@@ -91,5 +91,20 @@ TEST(Network, SensingSurvivesConcurrentDownlink) {
   EXPECT_GE(detected, 2u);
 }
 
+TEST(Network, ConsecutiveSensingFramesDrawFreshNoise) {
+  // Each sensing frame is a new frame: its noise (and CSSK schedule) must
+  // not replay the previous one's.
+  BiScatterNetwork net(three_tag_network());
+  net.calibrate_all();
+  const auto first = net.sense_all(/*downlink_active=*/true);
+  const auto second = net.sense_all(/*downlink_active=*/true);
+  ASSERT_EQ(first.size(), second.size());
+  bool any_differs = false;
+  for (std::size_t i = 0; i < first.size(); ++i)
+    any_differs = any_differs || first[i].snr_db != second[i].snr_db;
+  EXPECT_TRUE(any_differs);
+  EXPECT_EQ(net.report().uplink_frames, 2u);
+}
+
 }  // namespace
 }  // namespace bis::core

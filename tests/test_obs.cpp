@@ -288,13 +288,18 @@ TEST_F(ObsTest, IntegratedFrameProducesTraceAndRunReport) {
   EXPECT_EQ(report.detection_attempts, 1u);
   EXPECT_EQ(report.detections, 1u);
   EXPECT_GT(report.last_detector_snr_db, 0.0);
-  EXPECT_GT(report.stage.range_fft_s, 0.0);
-  EXPECT_GT(report.stage.if_correction_s, 0.0);
+  EXPECT_GT(report.stage_s[static_cast<std::size_t>(Stage::kRangeFft)], 0.0);
+  EXPECT_GT(report.stage_s[static_cast<std::size_t>(Stage::kIfCorrect)], 0.0);
   EXPECT_EQ(report.config, core::config_key(cfg));
 
   const std::string json = sim.report_json();
   EXPECT_NE(json.find("\"detector_snr_db\""), std::string::npos);
   EXPECT_NE(json.find("\"stage_seconds\""), std::string::npos);
+  for (std::size_t i = 0; i < kStages; ++i) {
+    const std::string key =
+        std::string("\"") + stage_name(static_cast<Stage>(i)) + "\":";
+    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  }
   EXPECT_NE(json.find(core::config_key(cfg)), std::string::npos);
 
   // Reset zeroes the accumulators.

@@ -30,7 +30,7 @@ RunReport make_report(std::uint64_t k) {
   r.inventory_collisions = 2 * k;
   r.inventory_idles = 10 * k;
   r.inventory_reads = 5 * k;
-  r.stage.detect_s = 0.25 * static_cast<double>(k);
+  r.stage_s[static_cast<std::size_t>(Stage::kDetect)] = 0.25 * static_cast<double>(k);
   return r;
 }
 
@@ -54,13 +54,13 @@ TEST(ReportMerge, CountersAdd) {
   EXPECT_EQ(total.inventory_collisions, 16u);
   EXPECT_EQ(total.inventory_idles, 80u);
   EXPECT_EQ(total.inventory_reads, 40u);
-  EXPECT_DOUBLE_EQ(total.stage.detect_s, 2.0);
+  EXPECT_DOUBLE_EQ(total.stage_s[static_cast<std::size_t>(Stage::kDetect)], 2.0);
 }
 
 TEST(ReportMerge, OutcomeKeyIgnoresTimingAndObservability) {
   RunReport a = make_report(7);
   RunReport b = make_report(7);
-  b.stage.detect_s += 123.0;   // wall time varies run to run
+  b.stage_s[static_cast<std::size_t>(Stage::kDetect)] += 123.0;  // wall time varies
   // Inventory counters are observability, not the parity-gated outcome (the
   // engine's round records are) — they stay out of the key by design.
   b.inventory_reads += 17;
