@@ -21,6 +21,7 @@
 
 #include "bench_util.hpp"
 #include "common/random.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
 
@@ -213,6 +214,52 @@ std::vector<Row> run_all(SimdTarget best) {
     // the 0.93x regression the lane-blocked form measured there.
     rows.back().has_fallback = true;
     rows.back().fallback = kgoertzel_prefers_scalar(g.nsamp);
+  }
+
+  // Slow-time strip kernels at the detector's shapes: a 128-point padded
+  // slow-time rfft (64-point complex strip) over a full 16-bin strip, and a
+  // 32-point one over a 13-bin tail strip (lanes past the last SIMD block).
+  // Each row's n is points × lanes.
+  const struct { std::size_t n_fft, lanes; int iters; } strips[] = {
+      {128, 16, 20000}, {64, 13, 20000}};
+  for (const auto& st : strips) {
+    const auto plan = dsp::rfft_plan(st.n_fft);
+    const std::size_t h = st.n_fft / 2, L = st.lanes;
+    const auto zr0 = random_real(h * L, 31);
+    const auto zi0 = random_real(h * L, 32);
+    dsp::RVec zr[2] = {dsp::RVec(h * L), dsp::RVec(h * L)};
+    dsp::RVec zi[2] = {dsp::RVec(h * L), dsp::RVec(h * L)};
+    rows.push_back(measure(
+        "kfft_strip", h * L, st.iters, best,
+        [&](int slot) {
+          std::copy(zr0.begin(), zr0.end(), zr[slot].begin());
+          std::copy(zi0.begin(), zi0.end(), zi[slot].begin());
+          kfft_strip(plan.half, L, zr[slot], zi[slot]);
+          g_sink = zr[slot][0];
+        },
+        [&] {
+          return bits_equal(zr[0], zr[1]) && bits_equal(zi[0], zi[1]);
+        }));
+    dsp::RVec xr[2] = {dsp::RVec((h + 1) * L), dsp::RVec((h + 1) * L)};
+    dsp::RVec xi[2] = {dsp::RVec((h + 1) * L), dsp::RVec((h + 1) * L)};
+    rows.push_back(measure(
+        "krfft_untangle_strip", (h + 1) * L, st.iters, best,
+        [&](int slot) {
+          krfft_untangle_strip(plan.tw_re, plan.tw_im, L, zr0, zi0, xr[slot],
+                               xi[slot]);
+          g_sink = xr[slot][0];
+        },
+        [&] {
+          return bits_equal(xr[0], xr[1]) && bits_equal(xi[0], xi[1]);
+        }));
+    dsp::RVec pw[2] = {dsp::RVec(h * L), dsp::RVec(h * L)};
+    rows.push_back(measure(
+        "knorm_split", h * L, st.iters, best,
+        [&](int slot) {
+          knorm(zr0, zi0, pw[slot]);
+          g_sink = pw[slot][0];
+        },
+        [&] { return bits_equal(pw[0], pw[1]); }));
   }
   return rows;
 }
@@ -415,6 +462,34 @@ std::vector<TierRow> run_tiers(SimdTarget best) {
           g_sink = s1f[0];
         },
         [&] { return std::max(rel_err(s1d, s1f), rel_err(s2d, s2f)); }, 1e-3));
+  }
+
+  // Slow-time strip FFT at the detector's full-strip shape.
+  {
+    const std::size_t n_fft = 128, h = n_fft / 2, L = 16;
+    const auto plan = dsp::rfft_plan(n_fft);
+    const auto plan_f = dsp::rfft_plan_f32(n_fft);
+    const auto zr0 = random_real(h * L, 31);
+    const auto zi0 = random_real(h * L, 32);
+    const auto zr0f = to_f32(std::span<const double>(zr0));
+    const auto zi0f = to_f32(std::span<const double>(zi0));
+    dsp::RVec zr(h * L), zi(h * L);
+    dsp::FVec zrf(h * L), zif(h * L);
+    rows.push_back(measure_tier(
+        "kfft_strip", h * L, 20000,
+        [&] {
+          std::copy(zr0.begin(), zr0.end(), zr.begin());
+          std::copy(zi0.begin(), zi0.end(), zi.begin());
+          kfft_strip(plan.half, L, zr, zi);
+          g_sink = zr[0];
+        },
+        [&] {
+          std::copy(zr0f.begin(), zr0f.end(), zrf.begin());
+          std::copy(zi0f.begin(), zi0f.end(), zif.begin());
+          kfft_strip(plan_f.half, L, zrf, zif);
+          g_sink = zrf[0];
+        },
+        [&] { return std::max(rel_err(zr, zrf), rel_err(zi, zif)); }, 1e-5));
   }
   return rows;
 }

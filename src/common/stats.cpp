@@ -77,17 +77,36 @@ double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 double percentile(std::span<const double> xs, double pct) {
   BIS_CHECK(!xs.empty());
   BIS_CHECK(pct >= 0.0 && pct <= 100.0);
-  // Per-thread sort buffer: percentile/median sit on the detector's per-bin
-  // hot path, so repeated calls must not allocate once capacity is warm.
-  thread_local std::vector<double> sorted;
-  sorted.assign(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+  // Per-thread selection buffer: percentile/median sit on the detector's
+  // per-bin hot path, so repeated calls must not allocate once capacity is
+  // warm.
+  thread_local std::vector<double> buf;
+  buf.assign(xs.begin(), xs.end());
+  if (buf.size() == 1) return buf.front();
+  const double pos = pct / 100.0 * static_cast<double>(buf.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, buf.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // The two order statistics a full sort would place at lo and hi: select
+  // rank lo, then rank lo + 1 is the least element after it.
+  const auto nth = buf.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(buf.begin(), nth, buf.end());
+  double v_lo = *nth;
+  double v_hi = hi == lo ? v_lo : *std::min_element(nth + 1, buf.end());
+  if (v_lo == 0.0 || v_hi == 0.0) {
+    // `<` cannot tell −0.0 from +0.0, so a zero order statistic's sign
+    // would depend on the selection algorithm. Rank the zeros as the total
+    // order does (−0.0 before +0.0): rank r is −0.0 iff it falls among the
+    // negatives and negative zeros.
+    std::size_t below = 0;
+    for (double x : buf) below += x < 0.0 || (x == 0.0 && std::signbit(x));
+    const auto zero_at = [below](std::size_t r) {
+      return r < below ? -0.0 : 0.0;
+    };
+    if (v_lo == 0.0) v_lo = zero_at(lo);
+    if (v_hi == 0.0) v_hi = zero_at(hi);
+  }
+  return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
 double rms(std::span<const double> xs) {

@@ -37,7 +37,10 @@ double stddev(std::span<const double> xs);
 /// Median; copies the data. Requires a non-empty span.
 double median(std::span<const double> xs);
 
-/// Percentile in [0, 100] with linear interpolation. Requires non-empty data.
+/// Percentile in [0, 100] with linear interpolation between the order
+/// statistics a full sort would give. Zeros rank −0.0 before +0.0, so the
+/// result is one bit pattern for a given multiset of inputs. Requires
+/// non-empty data.
 double percentile(std::span<const double> xs, double pct);
 
 /// Root-mean-square of the data.

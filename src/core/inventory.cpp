@@ -140,15 +140,16 @@ void InventoryEngine::resolve_batch(
     channel_hits_.assign(inventory_.n_channels, 0);
     for (const SlotResponder& r : job.responders) ++channel_hits_[r.channel];
     for (const SlotResponder& r : job.responders) {
-      ++report_.detection_attempts;
       const radar::TagDetection& det = detections[span.first_target + r.channel];
+      // The SNR mean is over attempts, so a miss adds its SNR too.
+      ++report_.detection_attempts;
+      report_.detector_snr_sum_db += det.snr_db;
+      report_.last_detector_snr_db = det.snr_db;
       if (!det.found || channel_hits_[r.channel] != 1) continue;
       states_[r.tag].flip(inventory_.session);
       --pending_;
       ++round.reads;
       ++report_.detections;
-      report_.detector_snr_sum_db += det.snr_db;
-      report_.last_detector_snr_db = det.snr_db;
     }
   }
 }

@@ -245,15 +245,13 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
     obs.range_m = det.range_m;
     obs.range_error_m = std::abs(det.range_m - config_.tags[i].range_m);
     obs.snr_db = det.snr_db;
-    ++report_.detection_attempts;
-    ++tags_[i]->report.detection_attempts;
-    if (det.found) {
-      ++report_.detections;
-      report_.detector_snr_sum_db += det.snr_db;
-      report_.last_detector_snr_db = det.snr_db;
-      ++tags_[i]->report.detections;
-      tags_[i]->report.detector_snr_sum_db += det.snr_db;
-      tags_[i]->report.last_detector_snr_db = det.snr_db;
+    // The SNR mean is over attempts (RunReport::mean_detector_snr_db), so a
+    // miss adds its SNR too, as LinkSimulator's fold does.
+    for (obs::RunReport* r : {&report_, &tags_[i]->report}) {
+      ++r->detection_attempts;
+      r->detector_snr_sum_db += det.snr_db;
+      r->last_detector_snr_db = det.snr_db;
+      if (det.found) ++r->detections;
     }
     out.push_back(obs);
   }

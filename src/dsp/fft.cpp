@@ -1,5 +1,6 @@
 #include "dsp/fft.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -126,13 +127,14 @@ struct FftPlan {
   std::size_t n = 0;
 
   // Power-of-two path: bit-reversal swap pairs (i < j) in reference order and
-  // per-stage SoA twiddle tables for stage length len = 4 << s, k in
-  // [0, len/2). The len == 2 stage multiplies by exactly (1, 0) in the
-  // reference, so it is executed multiplication-free and needs no table.
-  // Tables are built with the same w *= wlen recurrence as the reference.
+  // the SoA twiddles of every stage len = 4, 8, …, n concatenated: stage
+  // len's entries k ∈ [0, len/2) start at offset len/2 − 2 (n − 2 in all).
+  // The len == 2 stage multiplies by exactly (1, 0) in the reference, so it
+  // is executed multiplication-free and needs no table. Tables are built with
+  // the same w *= wlen recurrence as the reference.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
-  std::vector<RVec> tw_re_fwd, tw_im_fwd;
-  std::vector<RVec> tw_re_inv, tw_im_inv;
+  RVec tw_re_fwd, tw_im_fwd;
+  RVec tw_re_inv, tw_im_inv;
 
   // Bluestein path (n not a power of two): SoA chirp factors and the
   // pre-transformed convolution kernel B = FFT(b) for both directions, plus
@@ -164,13 +166,12 @@ void fft_pow2_with_plan(double* __restrict xr, double* __restrict xi,
     xi[i + 1] = ui - vi;
   }
 
-  std::size_t s = 0;
-  for (std::size_t len = 4; len <= n; len <<= 1, ++s) {
-    const double* __restrict twr =
-        (inverse ? plan.tw_re_inv : plan.tw_re_fwd)[s].data();
-    const double* __restrict twi =
-        (inverse ? plan.tw_im_inv : plan.tw_im_fwd)[s].data();
+  for (std::size_t len = 4; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
+    const double* __restrict twr =
+        (inverse ? plan.tw_re_inv : plan.tw_re_fwd).data() + (half - 2);
+    const double* __restrict twi =
+        (inverse ? plan.tw_im_inv : plan.tw_im_fwd).data() + (half - 2);
     for (std::size_t i = 0; i < n; i += len) {
       double* __restrict ar = xr + i;
       double* __restrict ai = xi + i;
@@ -197,8 +198,8 @@ void fft_pow2_with_plan(double* __restrict xr, double* __restrict xi,
 struct FftPlanF32 {
   std::size_t n = 0;
   std::shared_ptr<const FftPlan> base;  // swaps + lifetime anchor
-  std::vector<FVec> tw_re_fwd, tw_im_fwd;
-  std::vector<FVec> tw_re_inv, tw_im_inv;
+  FVec tw_re_fwd, tw_im_fwd;
+  FVec tw_re_inv, tw_im_inv;
 };
 
 /// Apply a float32 power-of-two plan in place on split re/im arrays. Same
@@ -223,13 +224,12 @@ void fft_pow2_with_plan_f32(float* __restrict xr, float* __restrict xi,
     xi[i + 1] = ui - vi;
   }
 
-  std::size_t s = 0;
-  for (std::size_t len = 4; len <= n; len <<= 1, ++s) {
-    const float* __restrict twr =
-        (inverse ? plan.tw_re_inv : plan.tw_re_fwd)[s].data();
-    const float* __restrict twi =
-        (inverse ? plan.tw_im_inv : plan.tw_im_fwd)[s].data();
+  for (std::size_t len = 4; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
+    const float* __restrict twr =
+        (inverse ? plan.tw_re_inv : plan.tw_re_fwd).data() + (half - 2);
+    const float* __restrict twi =
+        (inverse ? plan.tw_im_inv : plan.tw_im_fwd).data() + (half - 2);
     for (std::size_t i = 0; i < n; i += len) {
       float* __restrict ar = xr + i;
       float* __restrict ai = xi + i;
@@ -264,21 +264,20 @@ std::shared_ptr<const FftPlan> make_pow2_plan(std::size_t n) {
 
   for (int dir = 0; dir < 2; ++dir) {
     const bool inverse = dir == 1;
-    auto& stages_re = inverse ? plan->tw_re_inv : plan->tw_re_fwd;
-    auto& stages_im = inverse ? plan->tw_im_inv : plan->tw_im_fwd;
+    RVec& tw_re = inverse ? plan->tw_re_inv : plan->tw_re_fwd;
+    RVec& tw_im = inverse ? plan->tw_im_inv : plan->tw_im_fwd;
+    tw_re.reserve(n - 2);
+    tw_im.reserve(n - 2);
     for (std::size_t len = 4; len <= n; len <<= 1) {
       const double angle =
           (inverse ? 1.0 : -1.0) * kTwoPi / static_cast<double>(len);
       const cdouble wlen(std::cos(angle), std::sin(angle));
-      RVec tw_re(len / 2), tw_im(len / 2);
       cdouble w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
-        tw_re[k] = w.real();
-        tw_im[k] = w.imag();
+        tw_re.push_back(w.real());
+        tw_im.push_back(w.imag());
         w *= wlen;
       }
-      stages_re.push_back(std::move(tw_re));
-      stages_im.push_back(std::move(tw_im));
     }
   }
   return plan;
@@ -319,17 +318,22 @@ FftScratchF32& scratch_f32() {
 
 /// Untangle twiddles e^{-j2πk/n}, k ∈ [0, n/2], for the real-input (rfft)
 /// split of an even-length transform; the inverse path conjugates them.
+/// Anchors the n/2-point complex plan the split runs, so an RfftPlanHandle
+/// keeps both alive with one reference.
 struct RfftPlan {
   std::size_t n = 0;
   std::size_t h = 0;  // n/2
   RVec tw_re, tw_im;
+  std::shared_ptr<const FftPlan> half;
 };
 
-/// float32 untangle twiddles, cast once from the double RfftPlan.
+/// float32 untangle twiddles, cast once from the double RfftPlan, plus the
+/// float n/2-point plan.
 struct RfftPlanF32 {
   std::size_t n = 0;
   std::size_t h = 0;
   FVec tw_re, tw_im;
+  std::shared_ptr<const FftPlanF32> half;
 };
 
 class PlanCache {
@@ -367,6 +371,7 @@ class PlanCache {
     auto plan = std::make_shared<RfftPlan>();
     plan->n = n;
     plan->h = n / 2;
+    plan->half = get(plan->h);
     plan->tw_re.resize(plan->h + 1);
     plan->tw_im.resize(plan->h + 1);
     for (std::size_t k = 0; k <= plan->h; ++k) {
@@ -394,14 +399,10 @@ class PlanCache {
     auto plan = std::make_shared<FftPlanF32>();
     plan->n = n;
     plan->base = base;
-    const auto cast_stages = [](const std::vector<RVec>& src,
-                                std::vector<FVec>& dst) {
+    const auto cast_stages = [](const RVec& src, FVec& dst) {
       dst.resize(src.size());
-      for (std::size_t s = 0; s < src.size(); ++s) {
-        dst[s].resize(src[s].size());
-        for (std::size_t k = 0; k < src[s].size(); ++k)
-          dst[s][k] = static_cast<float>(src[s][k]);
-      }
+      for (std::size_t k = 0; k < src.size(); ++k)
+        dst[k] = static_cast<float>(src[k]);
     };
     cast_stages(base->tw_re_fwd, plan->tw_re_fwd);
     cast_stages(base->tw_im_fwd, plan->tw_im_fwd);
@@ -425,6 +426,7 @@ class PlanCache {
     auto plan = std::make_shared<RfftPlanF32>();
     plan->n = base->n;
     plan->h = base->h;
+    plan->half = get_f32(plan->h);
     plan->tw_re.resize(base->tw_re.size());
     plan->tw_im.resize(base->tw_im.size());
     for (std::size_t k = 0; k < base->tw_re.size(); ++k) {
@@ -718,6 +720,77 @@ CVec rfft_padded(std::span<const double> x, std::size_t n_fft) {
   CVec out;
   rfft_padded_into(x, n_fft, out);
   return out;
+}
+
+RfftPlanHandle<double> rfft_plan(std::size_t n) {
+  BIS_CHECK(n >= 2 && is_power_of_two(n));
+  const auto plan = plan_cache().get_rfft(n);
+  const FftPlan& half = *plan->half;
+  return {n,
+          {half.n, half.swaps, half.tw_re_fwd, half.tw_im_fwd},
+          plan->tw_re,
+          plan->tw_im,
+          plan};
+}
+
+RfftPlanHandle<float> rfft_plan_f32(std::size_t n) {
+  BIS_CHECK(n >= 2 && is_power_of_two(n));
+  const auto plan = plan_cache().get_rfft_f32(n);
+  const FftPlanF32& half = *plan->half;
+  return {n,
+          {half.n, half.base->swaps, half.tw_re_fwd, half.tw_im_fwd},
+          plan->tw_re,
+          plan->tw_im,
+          plan};
+}
+
+namespace {
+
+/// Shared body of the two rfft_padded_strip tiers: pack even samples into
+/// the real rows and odd samples into the imaginary rows of an n/2-point
+/// complex strip (zero rows past the signal), transform, untangle — the
+/// structure of rfft_into, lane-batched.
+template <typename Real, typename Vec>
+void rfft_strip_impl(std::span<const Real> x, std::size_t lanes,
+                     const RfftPlanHandle<Real>& plan, std::span<Real> re,
+                     std::span<Real> im, Vec& zr, Vec& zi) {
+  BIS_CHECK(lanes > 0 && x.size() % lanes == 0);
+  const std::size_t count = x.size() / lanes;
+  const std::size_t h = plan.n / 2;
+  BIS_CHECK(count <= plan.n);
+  BIS_CHECK(re.size() == (h + 1) * lanes && im.size() == re.size());
+  zr.resize(h * lanes);
+  zi.resize(h * lanes);
+  for (std::size_t k = 0; k < h; ++k) {
+    Real* r = zr.data() + k * lanes;
+    Real* i = zi.data() + k * lanes;
+    if (2 * k < count)
+      std::copy_n(x.data() + 2 * k * lanes, lanes, r);
+    else
+      std::fill_n(r, lanes, Real(0));
+    if (2 * k + 1 < count)
+      std::copy_n(x.data() + (2 * k + 1) * lanes, lanes, i);
+    else
+      std::fill_n(i, lanes, Real(0));
+  }
+  kernels::kfft_strip(plan.half, lanes, zr, zi);
+  kernels::krfft_untangle_strip(plan.tw_re, plan.tw_im, lanes, zr, zi, re, im);
+}
+
+}  // namespace
+
+void rfft_padded_strip(std::span<const double> x, std::size_t lanes,
+                       const RfftPlanHandle<double>& plan,
+                       std::span<double> re, std::span<double> im) {
+  thread_local RVec zr, zi;
+  rfft_strip_impl(x, lanes, plan, re, im, zr, zi);
+}
+
+void rfft_padded_strip(std::span<const float> x, std::size_t lanes,
+                       const RfftPlanHandle<float>& plan, std::span<float> re,
+                       std::span<float> im) {
+  thread_local FVec zr, zi;
+  rfft_strip_impl(x, lanes, plan, re, im, zr, zi);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@
 /// the inverse applies the 1/N factor.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
+#include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
 
 namespace bis::dsp {
@@ -88,6 +90,41 @@ void fft_padded_into_f32(std::span<const cfloat> x, std::size_t n_fft,
 /// rfft with one conversion each way.
 void rfft_padded_into_f32(std::span<const float> x, std::size_t n_fft,
                           CVecF& out);
+
+/// A cached plan for real-input transforms of power-of-two length n ≥ 2:
+/// the n/2-point complex plan plus the n/2+1 untangle twiddles, as views the
+/// strip kernels read. Fetch it once per transform shape and hand it to
+/// rfft_padded_strip, which then takes no plan-cache lock. The handle keeps
+/// the cached tables alive (fft_plan_cache_clear cannot free them under it).
+/// Real = float is the float32_fast tier's plan (twiddles rounded once from
+/// the double plan).
+template <typename Real>
+struct RfftPlanHandle {
+  std::size_t n = 0;
+  kernels::FftPlanView<Real> half;
+  std::span<const Real> tw_re, tw_im;
+  std::shared_ptr<const void> anchor;
+};
+
+RfftPlanHandle<double> rfft_plan(std::size_t n);
+RfftPlanHandle<float> rfft_plan_f32(std::size_t n);
+
+/// rfft_padded for a strip of `lanes` real signals stored bin-interleaved:
+/// sample m of signal j at x[m·lanes + j], m < x.size()/lanes ≤ plan.n
+/// (zero-padded to plan.n). Writes the one-sided spectra split into re/im,
+/// bin k of signal j at [k·lanes + j], k ∈ [0, plan.n/2]. In the double
+/// tier each signal's bins are bit-identical to rfft_padded_into(signal,
+/// plan.n) on every SIMD target (kernels::kfft_strip). Allocation-free once
+/// the per-thread scratch is warm.
+void rfft_padded_strip(std::span<const double> x, std::size_t lanes,
+                       const RfftPlanHandle<double>& plan,
+                       std::span<double> re, std::span<double> im);
+
+/// float32_fast tier strip: the float analogue of rfft_padded_into_f32, per
+/// lane (tolerance-validated, like the rest of the tier).
+void rfft_padded_strip(std::span<const float> x, std::size_t lanes,
+                       const RfftPlanHandle<float>& plan, std::span<float> re,
+                       std::span<float> im);
 
 /// Inverse of rfft: reconstruct the length-n real signal from its one-sided
 /// spectrum (spectrum.size() must be n/2+1). The upper half is implied by

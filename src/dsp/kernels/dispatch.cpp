@@ -260,6 +260,24 @@ void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
   active().tagscore(x, idx, w, g, n, on, son);
 }
 
+void kfft_strip(const FftPlanView<double>& plan, std::size_t lanes,
+                std::span<double> re, std::span<double> im) {
+  active().fft_strip(plan, lanes, re, im);
+}
+
+void krfft_untangle_strip(std::span<const double> tw_re,
+                          std::span<const double> tw_im, std::size_t lanes,
+                          std::span<const double> z_re,
+                          std::span<const double> z_im,
+                          std::span<double> x_re, std::span<double> x_im) {
+  active().rfft_untangle_strip(tw_re, tw_im, lanes, z_re, z_im, x_re, x_im);
+}
+
+void knorm(std::span<const double> re, std::span<const double> im,
+           std::span<double> out) {
+  active().norm_split(re, im, out);
+}
+
 // ---------------------------------------------------------------------------
 // float32_fast tier → active f32 table
 
@@ -326,6 +344,25 @@ void ktagscore(std::span<const float> x, std::span<const std::uint32_t> idx,
                std::span<const float> w, std::span<const float> g,
                std::size_t n, std::span<float> on, std::span<float> son) {
   active_f32().tagscore(x, idx, w, g, n, on, son);
+}
+
+void kfft_strip(const FftPlanView<float>& plan, std::size_t lanes,
+                std::span<float> re, std::span<float> im) {
+  active_f32().fft_strip(plan, lanes, re, im);
+}
+
+void krfft_untangle_strip(std::span<const float> tw_re,
+                          std::span<const float> tw_im, std::size_t lanes,
+                          std::span<const float> z_re,
+                          std::span<const float> z_im, std::span<float> x_re,
+                          std::span<float> x_im) {
+  active_f32().rfft_untangle_strip(tw_re, tw_im, lanes, z_re, z_im, x_re,
+                                   x_im);
+}
+
+void knorm(std::span<const float> re, std::span<const float> im,
+           std::span<float> out) {
+  active_f32().norm_split(re, im, out);
 }
 
 namespace detail {

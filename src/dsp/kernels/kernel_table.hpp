@@ -39,6 +39,14 @@ struct KernelTableT {
   void (*tagscore)(std::span<const Real>, std::span<const std::uint32_t>,
                    std::span<const Real>, std::span<const Real>, std::size_t,
                    std::span<Real>, std::span<Real>);
+  void (*fft_strip)(const FftPlanView<Real>&, std::size_t, std::span<Real>,
+                    std::span<Real>);
+  void (*rfft_untangle_strip)(std::span<const Real>, std::span<const Real>,
+                              std::size_t, std::span<const Real>,
+                              std::span<const Real>, std::span<Real>,
+                              std::span<Real>);
+  void (*norm_split)(std::span<const Real>, std::span<const Real>,
+                     std::span<Real>);
 };
 
 using KernelTable = KernelTableT<double>;

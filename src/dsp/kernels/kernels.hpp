@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 
 namespace bis::dsp::kernels {
 
@@ -187,6 +188,49 @@ void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
                std::size_t n, std::span<double> on, std::span<double> son);
 
 // ---------------------------------------------------------------------------
+// Lane-batched FFT (slow-time strips)
+//
+// A strip holds `lanes` independent signals bin-interleaved: element k of
+// signal j sits at [k·lanes + j]. The strip kernels run dsp::fft's radix-2
+// plan and rfft untangle with one signal per SIMD lane; each lane performs
+// exactly the operation sequence of the one-signal transform in dsp/fft.cpp
+// (unfused in the double tier), so signal j of a strip is bit-identical to
+// transforming it alone, on every target and for any lane count (lanes past
+// the last full block run the same operations as scalar code). Built as a
+// complex FFT plus a separate untangle so complex slow-time processing can
+// reuse the FFT alone.
+
+/// Read-only view of a cached power-of-two forward FFT plan (dsp::rfft_plan
+/// hands these out): the bit-reversal swap pairs (i < j) in reference order,
+/// and every stage len = 4, 8, …, n's twiddles concatenated, stage len's
+/// entries k ∈ [0, len/2) at offset len/2 − 2.
+template <typename Real>
+struct FftPlanView {
+  std::size_t n = 0;
+  std::span<const std::pair<std::uint32_t, std::uint32_t>> swaps;
+  std::span<const Real> tw_re, tw_im;
+};
+
+/// In-place forward FFT of a strip of plan.n-point complex signals; re/im
+/// hold plan.n·lanes elements.
+void kfft_strip(const FftPlanView<double>& plan, std::size_t lanes,
+                std::span<double> re, std::span<double> im);
+
+/// rfft untangle of a strip: z_re/z_im hold the h-point spectra of the
+/// even/odd-packed real signals (h·lanes elements, from kfft_strip), tw_re/
+/// tw_im the h+1 untangle twiddles e^{−j2πk/2h}. Writes the one-sided
+/// spectra (bins 0…h, (h+1)·lanes elements) to x_re/x_im.
+void krfft_untangle_strip(std::span<const double> tw_re,
+                          std::span<const double> tw_im, std::size_t lanes,
+                          std::span<const double> z_re,
+                          std::span<const double> z_im,
+                          std::span<double> x_re, std::span<double> x_im);
+
+/// out[i] = re[i]² + im[i]² — knorm on split storage, same operations.
+void knorm(std::span<const double> re, std::span<const double> im,
+           std::span<double> out);
+
+// ---------------------------------------------------------------------------
 // float32_fast tier overloads (non-normative; tolerance-validated)
 
 void kmag(std::span<const cfloat> x, std::span<float> out);
@@ -211,6 +255,15 @@ void kgoertzel(std::span<const float> x, std::span<const float> coeffs,
 void ktagscore(std::span<const float> x, std::span<const std::uint32_t> idx,
                std::span<const float> w, std::span<const float> g,
                std::size_t n, std::span<float> on, std::span<float> son);
+void kfft_strip(const FftPlanView<float>& plan, std::size_t lanes,
+                std::span<float> re, std::span<float> im);
+void krfft_untangle_strip(std::span<const float> tw_re,
+                          std::span<const float> tw_im, std::size_t lanes,
+                          std::span<const float> z_re,
+                          std::span<const float> z_im, std::span<float> x_re,
+                          std::span<float> x_im);
+void knorm(std::span<const float> re, std::span<const float> im,
+           std::span<float> out);
 
 namespace detail {
 

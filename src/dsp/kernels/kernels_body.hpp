@@ -304,6 +304,273 @@ void tagscore(std::span<const RealOf<Ops>> x, std::span<const std::uint32_t> idx
   }
 }
 
+/// One radix-2 butterfly on a block of lanes, exactly fft_pow2_with_plan's
+/// (v = b·w as (br·wr − bi·wi, br·wi + bi·wr); a' = a + v; b' = a − v).
+template <typename Ops, typename V>
+inline void butterfly(V& ar, V& ai, V& br, V& bi, V wr, V wi) {
+  const V vr = Ops::sub(Ops::mul(br, wr), Ops::mul(bi, wi));
+  const V vi = Ops::add(Ops::mul(br, wi), Ops::mul(bi, wr));
+  br = Ops::sub(ar, vr);
+  bi = Ops::sub(ai, vi);
+  ar = Ops::add(ar, vr);
+  ai = Ops::add(ai, vi);
+}
+
+/// The len == 2 butterfly: the reference twiddle is exactly (1, 0), so it
+/// is a pure add/sub.
+template <typename Ops, typename V>
+inline void butterfly_unit(V& ar, V& ai, V& br, V& bi) {
+  const V ur = ar, ui = ai;
+  ar = Ops::add(ur, br);
+  ai = Ops::add(ui, bi);
+  br = Ops::sub(ur, br);
+  bi = Ops::sub(ui, bi);
+}
+
+/// Scalar lane ops for the strip tails: the same operations one element at
+/// a time, so tail lanes match block lanes bit for bit.
+template <typename Real>
+struct LaneOps {
+  static Real add(Real a, Real b) { return a + b; }
+  static Real sub(Real a, Real b) { return a - b; }
+  static Real mul(Real a, Real b) { return a * b; }
+};
+
+template <typename Ops>
+void fft_strip(const FftPlanView<RealOf<Ops>>& plan, std::size_t lanes,
+               std::span<RealOf<Ops>> re_s, std::span<RealOf<Ops>> im_s) {
+  using Real = RealOf<Ops>;
+  using S = LaneOps<Real>;
+  // One signal per lane: lanes never interact, and every element passes
+  // through exactly fft_pow2_with_plan's butterflies, stage by stage, with
+  // the same twiddles. Two consecutive stages run in one pass over each
+  // 4-row butterfly group (stage len on rows (a, b) and (c, d), then stage
+  // 2·len on (a, c) and (b, d)): the per-element operation sequence is the
+  // sequential one, but the group stays in registers between the stages.
+  const std::size_t n = plan.n;
+  if (n <= 1) return;
+  const std::size_t L = lanes;
+  const std::size_t LB = L - L % Ops::kLanes;
+  Real* const re = re_s.data();
+  Real* const im = im_s.data();
+  for (const auto& [a, b] : plan.swaps) {
+    Real* ra = re + a * L;
+    Real* rb = re + b * L;
+    Real* ia = im + a * L;
+    Real* ib = im + b * L;
+    for (std::size_t j = 0; j < LB; j += Ops::kLanes) {
+      const auto xr = Ops::load(ra + j), xi = Ops::load(ia + j);
+      Ops::store(ra + j, Ops::load(rb + j));
+      Ops::store(ia + j, Ops::load(ib + j));
+      Ops::store(rb + j, xr);
+      Ops::store(ib + j, xi);
+    }
+    for (std::size_t j = LB; j < L; ++j) {
+      std::swap(ra[j], rb[j]);
+      std::swap(ia[j], ib[j]);
+    }
+  }
+
+  // Stage len's twiddles start at [len/2 − 2]. Stage 2 has no table (its
+  // butterflies are butterfly_unit); a unit twiddle stands in for it so the
+  // lookups below never index outside the plan.
+  static constexpr Real kUnitRe[1] = {Real(1)};
+  static constexpr Real kUnitIm[1] = {Real(0)};
+  const auto stage_re = [&](std::size_t len) {
+    return len == 2 ? kUnitRe : plan.tw_re.data() + (len / 2 - 2);
+  };
+  const auto stage_im = [&](std::size_t len) {
+    return len == 2 ? kUnitIm : plan.tw_im.data() + (len / 2 - 2);
+  };
+
+  // Rows a, b, c, d = base + {0, half, len, len + half}, half = len / 2.
+  // Stage len pairs (a, b) and (c, d) with twiddle k; stage 2·len pairs
+  // (a, c) with its twiddle k and (b, d) with its twiddle k + half.
+  const auto fused = [&](std::size_t len) {
+    const std::size_t half = len / 2;
+    const Real* t1r = stage_re(len);
+    const Real* t1i = stage_im(len);
+    const Real* t2r = stage_re(2 * len);
+    const Real* t2i = stage_im(2 * len);
+    for (std::size_t i = 0; i < n; i += 2 * len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::size_t ra = i + k, rb = ra + half, rc = ra + len,
+                          rd = rc + half;
+        Real* pr[4] = {re + ra * L, re + rb * L, re + rc * L, re + rd * L};
+        Real* pi[4] = {im + ra * L, im + rb * L, im + rc * L, im + rd * L};
+        const Real w1r = t1r[k], w1i = t1i[k];
+        const Real w2r = t2r[k], w2i = t2i[k];
+        const Real w3r = t2r[k + half], w3i = t2i[k + half];
+        const auto v1r = Ops::bcast(w1r), v1i = Ops::bcast(w1i);
+        const auto v2r = Ops::bcast(w2r), v2i = Ops::bcast(w2i);
+        const auto v3r = Ops::bcast(w3r), v3i = Ops::bcast(w3i);
+        for (std::size_t j = 0; j < LB; j += Ops::kLanes) {
+          auto ar = Ops::load(pr[0] + j), ai = Ops::load(pi[0] + j);
+          auto br = Ops::load(pr[1] + j), bi = Ops::load(pi[1] + j);
+          auto cr = Ops::load(pr[2] + j), ci = Ops::load(pi[2] + j);
+          auto dr = Ops::load(pr[3] + j), di = Ops::load(pi[3] + j);
+          if (len == 2) {
+            butterfly_unit<Ops>(ar, ai, br, bi);
+            butterfly_unit<Ops>(cr, ci, dr, di);
+          } else {
+            butterfly<Ops>(ar, ai, br, bi, v1r, v1i);
+            butterfly<Ops>(cr, ci, dr, di, v1r, v1i);
+          }
+          butterfly<Ops>(ar, ai, cr, ci, v2r, v2i);
+          butterfly<Ops>(br, bi, dr, di, v3r, v3i);
+          Ops::store(pr[0] + j, ar);
+          Ops::store(pi[0] + j, ai);
+          Ops::store(pr[1] + j, br);
+          Ops::store(pi[1] + j, bi);
+          Ops::store(pr[2] + j, cr);
+          Ops::store(pi[2] + j, ci);
+          Ops::store(pr[3] + j, dr);
+          Ops::store(pi[3] + j, di);
+        }
+        for (std::size_t j = LB; j < L; ++j) {
+          Real ar = pr[0][j], ai = pi[0][j], br = pr[1][j], bi = pi[1][j];
+          Real cr = pr[2][j], ci = pi[2][j], dr = pr[3][j], di = pi[3][j];
+          if (len == 2) {
+            butterfly_unit<S>(ar, ai, br, bi);
+            butterfly_unit<S>(cr, ci, dr, di);
+          } else {
+            butterfly<S>(ar, ai, br, bi, w1r, w1i);
+            butterfly<S>(cr, ci, dr, di, w1r, w1i);
+          }
+          butterfly<S>(ar, ai, cr, ci, w2r, w2i);
+          butterfly<S>(br, bi, dr, di, w3r, w3i);
+          pr[0][j] = ar, pi[0][j] = ai, pr[1][j] = br, pi[1][j] = bi;
+          pr[2][j] = cr, pi[2][j] = ci, pr[3][j] = dr, pi[3][j] = di;
+        }
+      }
+    }
+  };
+
+  // A last unpaired stage (len == n, or n == 2) runs alone.
+  const auto single = [&](std::size_t len) {
+    const std::size_t half = len / 2;
+    const Real* twr = stage_re(len);
+    const Real* twi = stage_im(len);
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        Real* ar = re + (i + k) * L;
+        Real* ai = im + (i + k) * L;
+        Real* br = re + (i + k + half) * L;
+        Real* bi = im + (i + k + half) * L;
+        const Real wr = twr[k], wi = twi[k];
+        const auto vwr = Ops::bcast(wr), vwi = Ops::bcast(wi);
+        for (std::size_t j = 0; j < LB; j += Ops::kLanes) {
+          auto xar = Ops::load(ar + j), xai = Ops::load(ai + j);
+          auto xbr = Ops::load(br + j), xbi = Ops::load(bi + j);
+          if (len == 2)
+            butterfly_unit<Ops>(xar, xai, xbr, xbi);
+          else
+            butterfly<Ops>(xar, xai, xbr, xbi, vwr, vwi);
+          Ops::store(ar + j, xar);
+          Ops::store(ai + j, xai);
+          Ops::store(br + j, xbr);
+          Ops::store(bi + j, xbi);
+        }
+        for (std::size_t j = LB; j < L; ++j) {
+          Real xar = ar[j], xai = ai[j], xbr = br[j], xbi = bi[j];
+          if (len == 2)
+            butterfly_unit<S>(xar, xai, xbr, xbi);
+          else
+            butterfly<S>(xar, xai, xbr, xbi, wr, wi);
+          ar[j] = xar, ai[j] = xai, br[j] = xbr, bi[j] = xbi;
+        }
+      }
+    }
+  };
+
+  std::size_t len = 2;
+  for (; 2 * len <= n; len *= 4) fused(len);
+  if (len <= n) single(len);
+}
+
+/// One rfft untangle step (rfft_into's loop body) on a block of lanes: from
+/// a = Z[k] and z' = Z[h−k], X[k] = E + W^k·O with E = (a + conj z')/2 and
+/// O = −j(a − conj z')/2. The reference forms a.imag + (conj z').imag and
+/// a.imag − (conj z').imag; IEEE subtraction is addition of the negated
+/// operand, so ai − zi' and ai + zi' are those values bit for bit.
+template <typename Ops, typename V>
+inline void untangle(V ar, V ai, V br, V bi, V wr, V wi, V half, V mhalf,
+                     V& xr, V& xi) {
+  const V er = Ops::mul(half, Ops::add(ar, br));
+  const V ei = Ops::mul(half, Ops::sub(ai, bi));
+  const V od = Ops::mul(half, Ops::add(ai, bi));
+  const V oi = Ops::mul(mhalf, Ops::sub(ar, br));
+  xr = Ops::sub(Ops::add(er, Ops::mul(wr, od)), Ops::mul(wi, oi));
+  xi = Ops::add(Ops::add(ei, Ops::mul(wr, oi)), Ops::mul(wi, od));
+}
+
+template <typename Ops>
+void rfft_untangle_strip(std::span<const RealOf<Ops>> tw_re,
+                         std::span<const RealOf<Ops>> tw_im, std::size_t lanes,
+                         std::span<const RealOf<Ops>> z_re,
+                         std::span<const RealOf<Ops>> z_im,
+                         std::span<RealOf<Ops>> x_re,
+                         std::span<RealOf<Ops>> x_im) {
+  using Real = RealOf<Ops>;
+  using S = LaneOps<Real>;
+  // rfft_into per lane. Bins 0 and h both come from Z[0] and are real.
+  const std::size_t L = lanes;
+  const std::size_t LB = L - L % Ops::kLanes;
+  const std::size_t h = tw_re.size() - 1;
+  const Real* zr = z_re.data();
+  const Real* zi = z_im.data();
+  Real* xr = x_re.data();
+  Real* xi = x_im.data();
+  const auto vzero = Ops::bcast(Real(0));
+  for (std::size_t j = 0; j < LB; j += Ops::kLanes) {
+    const auto r = Ops::load(zr + j), i = Ops::load(zi + j);
+    Ops::store(xr + j, Ops::add(r, i));
+    Ops::store(xi + j, vzero);
+    Ops::store(xr + h * L + j, Ops::sub(r, i));
+    Ops::store(xi + h * L + j, vzero);
+  }
+  for (std::size_t j = LB; j < L; ++j) {
+    xr[j] = zr[j] + zi[j];
+    xi[j] = Real(0);
+    xr[h * L + j] = zr[j] - zi[j];
+    xi[h * L + j] = Real(0);
+  }
+  const auto vhalf = Ops::bcast(Real(0.5));
+  const auto vmhalf = Ops::bcast(Real(-0.5));
+  for (std::size_t k = 1; k < h; ++k) {
+    const Real wr = tw_re[k], wi = tw_im[k];
+    const auto vwr = Ops::bcast(wr), vwi = Ops::bcast(wi);
+    const Real* azr = zr + k * L;
+    const Real* azi = zi + k * L;
+    const Real* bzr = zr + (h - k) * L;
+    const Real* bzi = zi + (h - k) * L;
+    Real* oxr = xr + k * L;
+    Real* oxi = xi + k * L;
+    for (std::size_t j = 0; j < LB; j += Ops::kLanes) {
+      auto vxr = vzero, vxi = vzero;
+      untangle<Ops>(Ops::load(azr + j), Ops::load(azi + j), Ops::load(bzr + j),
+                    Ops::load(bzi + j), vwr, vwi, vhalf, vmhalf, vxr, vxi);
+      Ops::store(oxr + j, vxr);
+      Ops::store(oxi + j, vxi);
+    }
+    for (std::size_t j = LB; j < L; ++j)
+      untangle<S>(azr[j], azi[j], bzr[j], bzi[j], wr, wi, Real(0.5),
+                  Real(-0.5), oxr[j], oxi[j]);
+  }
+}
+
+template <typename Ops>
+void norm_split(std::span<const RealOf<Ops>> re, std::span<const RealOf<Ops>> im,
+                std::span<RealOf<Ops>> out) {
+  const std::size_t n = re.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    const auto r = Ops::load(re.data() + i), m = Ops::load(im.data() + i);
+    Ops::store(out.data() + i, Ops::add(Ops::mul(r, r), Ops::mul(m, m)));
+  }
+  for (std::size_t i = nL; i < n; ++i) out[i] = re[i] * re[i] + im[i] * im[i];
+}
+
 /// Assemble the dispatch table for one backend.
 template <typename Ops>
 detail::KernelTableT<RealOf<Ops>> make_table() {
@@ -321,6 +588,9 @@ detail::KernelTableT<RealOf<Ops>> make_table() {
   t.dot = &dot<Ops>;
   t.goertzel = &goertzel<Ops>;
   t.tagscore = &tagscore<Ops>;
+  t.fft_strip = &fft_strip<Ops>;
+  t.rfft_untangle_strip = &rfft_untangle_strip<Ops>;
+  t.norm_split = &norm_split<Ops>;
   return t;
 }
 

@@ -30,25 +30,8 @@ struct AlignedProfiles {
   /// Magnitude of one slow-time column (fixed grid bin across chirps).
   dsp::RVec column_magnitude(std::size_t bin) const;
 
-  /// Allocation-free overload: writes into @p out (size n_chirps()). The
-  /// detector's slow-time loop calls this once per range bin per block, so
-  /// the allocating form would churn in the hot path.
+  /// Allocation-free overload: writes into @p out (size n_chirps()).
   void column_magnitude(std::size_t bin, std::span<double> out) const;
-
-  /// float32_fast tier variant: |·| via norm + float sqrt instead of the
-  /// overflow-safe double hypot — the detector's per-bin column walk is one
-  /// of its hottest loops and profile magnitudes are far from float range
-  /// limits. Tolerance-validated, never bit-compared.
-  void column_magnitude_f32(std::size_t bin, std::span<float> out) const;
-
-  /// Windowed overloads: magnitudes of chirps [first, first+count) only
-  /// (out.size() == count). |·| is per-element, so the values are identical
-  /// to slicing the full-column read — but a batched multi-slot frame only
-  /// pays for the slot's own window instead of the whole slow-time column.
-  void column_magnitude(std::size_t bin, std::size_t first, std::size_t count,
-                        std::span<double> out) const;
-  void column_magnitude_f32(std::size_t bin, std::size_t first,
-                            std::size_t count, std::span<float> out) const;
 
   /// Complex slow-time column.
   dsp::CVec column(std::size_t bin) const;

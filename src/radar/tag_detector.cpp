@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -24,7 +26,8 @@ namespace bis::radar {
 TagDetector::TagDetector(const TagDetectorConfig& config) : config_(config) {
   BIS_CHECK(config_.expected_mod_freq_hz > 0.0);
   BIS_CHECK(config_.duty_cycle > 0.0 && config_.duty_cycle < 1.0);
-  BIS_CHECK(config_.slow_time_pad_factor >= 1);
+  BIS_CHECK(config_.slow_time_pad_factor >= 1 &&
+            dsp::is_power_of_two(config_.slow_time_pad_factor));
   for (double f : config_.candidate_mod_freqs_hz) BIS_CHECK(f > 0.0);
   self_target_ = TagTarget{config_.expected_mod_freq_hz,
                            config_.candidate_mod_freqs_hz};
@@ -140,121 +143,181 @@ ScoreBank& cached_bank(std::span<const double> freqs, double duty,
   return bank;
 }
 
-/// Slow-time power spectrum of one grid bin over chirps [first, first+count),
-/// in per-thread scratch. The windowed column read touches only the block's
-/// own rows — in a batched multi-slot frame each slot pays for its window,
-/// not the whole concatenated column — and |·| is per-element, so the values
-/// (and everything downstream) are bit-identical to slicing a full-column
-/// read as the pre-window implementation did.
-std::span<const double> spectrum_window(const TagDetectorConfig& config,
-                                        const AlignedProfiles& profiles,
-                                        std::size_t bin, std::size_t first,
-                                        std::size_t count) {
-  const std::size_t n_chirps = profiles.n_chirps();
-  BIS_CHECK(first < n_chirps);
-  if (count == 0) count = n_chirps - first;
-  BIS_CHECK(first + count <= n_chirps);
-  BIS_CHECK(count >= 4);
-  // This runs once per range bin per block — the detector's hottest loop.
-  // thread_local scratch keeps each parallel_for lane allocation-free; every
-  // call fully overwrites the buffers, so reuse never leaks state across bins.
-  const std::size_t n_fft =
-      dsp::next_power_of_two(count) * config.slow_time_pad_factor;
-  thread_local dsp::RVec power;
-  if (config.precision == dsp::Precision::kFloat32Fast) {
-    // float32_fast tier: the whole per-bin chain (|·| column, mean removal,
-    // Hann, rfft, |·|²) runs in float; the power spectrum converts to the
-    // double scoring buffer once at the end.
-    thread_local dsp::FVec colf;
-    thread_local dsp::FVec xwf;
-    colf.resize(count);
-    profiles.column_magnitude_f32(bin, first, count, colf);
-    const std::span<const float> series(colf.data(), count);
-    float mean = 0.0f;
-    for (float x : series) mean += x;
-    mean /= static_cast<float>(series.size());
-    const auto wf = dsp::cached_window_f32(dsp::WindowType::kHann, count);
-    xwf.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-      xwf[i] = (series[i] - mean) * (*wf)[i];
-    thread_local dsp::CVecF specf;
-    dsp::rfft_padded_into_f32(xwf, n_fft, specf);
-    thread_local dsp::FVec powerf;
-    powerf.resize(specf.size());
-    dsp::kernels::knorm(specf, powerf);
-    power.resize(powerf.size());
-    for (std::size_t i = 0; i < powerf.size(); ++i)
-      power[i] = static_cast<double>(powerf[i]);
-    return power;
-  }
-  thread_local dsp::RVec col;
-  thread_local dsp::RVec xw;
-  col.resize(count);
-  profiles.column_magnitude(bin, first, count, col);
-  const std::span<const double> series(col.data(), count);
-  // Static clutter residue is DC in slow time; remove the mean before the
-  // FFT so the modulation tone dominates. Fused mean-removal + Hann window
-  // evaluates exactly what remove_dc + apply_window computed.
-  double mean = 0.0;
-  for (double x : series) mean += x;
-  mean /= static_cast<double>(series.size());
-  const auto w = dsp::cached_window(dsp::WindowType::kHann, count);
-  xw.resize(count);
-  for (std::size_t i = 0; i < count; ++i) xw[i] = (series[i] - mean) * (*w)[i];
-  // Real-input fast path: the one-sided rfft is all this ever read from the
-  // full complex transform.
-  thread_local dsp::CVec spec;
-  dsp::rfft_padded_into(xw, n_fft, spec);
-  power.resize(spec.size());
-  dsp::kernels::knorm(spec, power);
-  return power;
+/// Range bins per strip: the lane count of one batched slow-time transform.
+/// Four AVX2 blocks per butterfly row; a 128-point strip's working set
+/// (samples, packed spectra, split output) stays within L1/L2.
+constexpr std::size_t kStripBins = 16;
+
+/// What a strip of one window needs besides its bins, looked up once per
+/// window shape: the Hann window and the cached rfft plan. Real = float is
+/// the float32_fast tier.
+template <typename Real>
+struct StripPlan {
+  std::size_t count = 0;  ///< Chirps in the window.
+  std::shared_ptr<const std::vector<Real, dsp::AlignedAlloc<Real>>> hann;
+  dsp::RfftPlanHandle<Real> rfft;
+};
+
+template <typename Real>
+StripPlan<Real> make_strip_plan(std::size_t count, std::size_t pad_factor) {
+  const std::size_t n_fft = dsp::next_power_of_two(count) * pad_factor;
+  if constexpr (std::is_same_v<Real, float>)
+    return {count, dsp::cached_window_f32(dsp::WindowType::kHann, count),
+            dsp::rfft_plan_f32(n_fft)};
+  else
+    return {count, dsp::cached_window(dsp::WindowType::kHann, count),
+            dsp::rfft_plan(n_fft)};
 }
 
-/// Scores one range bin of one chirp window against a signature bank.
-/// @p tag_rows_p holds the window's n_targets+1 offsets into the pass's row
-/// table (target t's rows are [tag_rows_p[t], tag_rows_p[t+1])); the bank's
-/// @p rows are that contiguous run. Scores land in the window's tag-major
-/// [t·n_bins + b] blk matrices. Each call writes only bin @p b's slots, so
-/// concurrent calls on distinct bins never race.
-void score_block_bin(const TagDetectorConfig& config,
-                     const AlignedProfiles& profiles, std::size_t b,
-                     std::size_t first, std::size_t count,
-                     const ScoreBank& bank, std::size_t rows,
-                     const std::size_t* tag_rows_p, std::size_t n_bins,
-                     double* blk_metric_p, double* blk_tone_p,
-                     double* blk_score_p) {
-  if (profiles.range_grid[b] < config.min_range_m) return;
-  const auto spectrum = spectrum_window(config, profiles, b, first, count);
-  const double floor = std::max(
-      bis::median(std::span<const double>(spectrum.data() + 1,
-                                          spectrum.size() - 1)),
-      1e-30);
-  double total = 0.0;
-  for (std::size_t i = 1; i < spectrum.size(); ++i) total += spectrum[i];
+/// One plan per window, in per-thread scratch (the caller pins the data
+/// pointer for its workers). Consecutive windows of one length — every block
+/// of detect_many, every slot of an inventory batch — share one lookup.
+template <typename Real>
+const StripPlan<Real>* strip_plans(std::span<const SlotSpan> windows,
+                                   std::size_t pad_factor) {
+  thread_local std::vector<StripPlan<Real>> plans;
+  plans.clear();
+  for (const SlotSpan& w : windows) {
+    if (!plans.empty() && plans.back().count == w.n_chirps)
+      plans.push_back(plans.back());
+    else
+      plans.push_back(make_strip_plan<Real>(w.n_chirps, pad_factor));
+  }
+  return plans.data();
+}
 
-  thread_local dsp::RVec on, son;
-  on.resize(rows);
-  son.resize(rows);
-  dsp::kernels::ktagscore(spectrum, bank.idx, bank.w, bank.g, rows, on, son);
-
-  std::size_t t = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    while (tag_rows_p[0] + r >= tag_rows_p[t + 1]) ++t;
-    const std::size_t mod_bin = bank.mod_bin[r];
-    double p = 0.0;
-    for (long long k = static_cast<long long>(mod_bin) - 1;
-         k <= static_cast<long long>(mod_bin) + 1; ++k) {
-      if (k >= 0 && k < static_cast<long long>(spectrum.size()))
-        p = std::max(p, spectrum[static_cast<std::size_t>(k)]);
+/// Slow-time power spectra of a strip of grid bins over chirps
+/// [first, first+plan.count): power[k·L + j] is bin k of bins[j]'s
+/// one-sided spectrum (L = bins.size(), k ≤ n_fft/2), in per-thread scratch.
+/// The corner turn reads each chirp row once across the strip; |·|, mean
+/// removal and Hann are per lane the one-bin chain's operations in its
+/// order, and rfft_padded_strip/knorm are bit-identical per lane to
+/// rfft_padded_into/knorm, so in double_strict bin j's spectrum is exactly
+/// what a one-bin transform of its column gives. float32_fast runs the same
+/// chain in float (|·| via float norm + sqrt).
+template <typename Real>
+std::span<const Real> strip_power(const AlignedProfiles& profiles,
+                                  std::span<const std::uint32_t> bins,
+                                  std::size_t first,
+                                  const StripPlan<Real>& plan) {
+  using Vec = std::vector<Real, dsp::AlignedAlloc<Real>>;
+  const std::size_t lanes = bins.size();
+  const std::size_t count = plan.count;
+  BIS_CHECK(first + count <= profiles.n_chirps());
+  thread_local Vec x, mean, re, im;
+  x.resize(count * lanes);
+  mean.assign(lanes, Real(0));
+  for (std::size_t m = 0; m < count; ++m) {
+    const dsp::cdouble* row = profiles.rows[first + m].data();
+    Real* xm = x.data() + m * lanes;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      if constexpr (std::is_same_v<Real, float>)
+        xm[j] = std::sqrt(static_cast<float>(std::norm(row[bins[j]])));
+      else
+        xm[j] = std::abs(row[bins[j]]);
+      mean[j] += xm[j];
     }
-    const double s = dsp::signature_score_from(on[r], bank.on_w[r], son[r],
-                                               total, bank.off_n[r]);
-    const std::size_t slot = t * n_bins + b;
-    blk_tone_p[slot] = std::max(blk_tone_p[slot], p);
-    blk_score_p[slot] = std::max(blk_score_p[slot], s);
-    if (s < config.min_signature_score) continue;
-    if (p < config.min_tone_prominence * floor) continue;
-    blk_metric_p[slot] = std::max(blk_metric_p[slot], p * s);
+  }
+  // Static clutter residue is DC in slow time; remove the mean before the
+  // FFT so the modulation tone dominates.
+  for (std::size_t j = 0; j < lanes; ++j) mean[j] /= static_cast<Real>(count);
+  const Real* w = plan.hann->data();
+  for (std::size_t m = 0; m < count; ++m) {
+    Real* xm = x.data() + m * lanes;
+    for (std::size_t j = 0; j < lanes; ++j) xm[j] = (xm[j] - mean[j]) * w[m];
+  }
+  const std::size_t n_spec = (plan.rfft.n / 2 + 1) * lanes;
+  re.resize(n_spec);
+  im.resize(n_spec);
+  dsp::rfft_padded_strip(std::span<const Real>(x), lanes, plan.rfft, re, im);
+  dsp::kernels::knorm(std::span<const Real>(re), std::span<const Real>(im),
+                      std::span<Real>(re));
+  return re;
+}
+
+/// Scores range bins of one chirp window against a signature bank. @p rows_p
+/// holds the window's n_targets+1 offsets into the pass's row table (target
+/// t's rows are [rows_p[t], rows_p[t+1])); the bank's @p rows are that
+/// contiguous run. Scores land in the window's tag-major [t·n_bins + b] blk
+/// matrices. score() writes only bin b's slots, so concurrent calls on
+/// distinct bins never race.
+struct BinScorer {
+  const TagDetectorConfig& config;
+  const ScoreBank& bank;
+  std::size_t rows;
+  const std::size_t* rows_p;
+  std::size_t n_bins;
+  double* blk_metric_p;
+  double* blk_tone_p;
+  double* blk_score_p;
+
+  /// @p total is the spectrum's non-DC power, summed in ascending bin order.
+  void score(std::size_t b, std::span<const double> spectrum,
+             double total) const {
+    thread_local dsp::RVec on, son;
+    on.resize(rows);
+    son.resize(rows);
+    dsp::kernels::ktagscore(spectrum, bank.idx, bank.w, bank.g, rows, on, son);
+
+    // The floor (the spectrum's median level) is read only by the
+    // prominence gate of rows that passed the signature gate, so it is
+    // computed at the first such row, or never. It is a pure function of
+    // the spectrum, so every row that reads it sees the value an eager
+    // evaluation would have produced: the decisions are the same.
+    double floor = -1.0;
+    std::size_t t = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      while (rows_p[0] + r >= rows_p[t + 1]) ++t;
+      const std::size_t mod_bin = bank.mod_bin[r];
+      double p = 0.0;
+      for (long long k = static_cast<long long>(mod_bin) - 1;
+           k <= static_cast<long long>(mod_bin) + 1; ++k) {
+        if (k >= 0 && k < static_cast<long long>(spectrum.size()))
+          p = std::max(p, spectrum[static_cast<std::size_t>(k)]);
+      }
+      const double s = dsp::signature_score_from(on[r], bank.on_w[r], son[r],
+                                                 total, bank.off_n[r]);
+      const std::size_t slot = t * n_bins + b;
+      blk_tone_p[slot] = std::max(blk_tone_p[slot], p);
+      blk_score_p[slot] = std::max(blk_score_p[slot], s);
+      if (s < config.min_signature_score) continue;
+      if (floor < 0.0)
+        floor = std::max(bis::median(spectrum.subspan(1)), 1e-30);
+      if (p < config.min_tone_prominence * floor) continue;
+      blk_metric_p[slot] = std::max(blk_metric_p[slot], p * s);
+    }
+  }
+};
+
+/// One (window, strip) work item: the strip's spectra, then each bin's
+/// scores. Each bin's non-DC total is summed lane-wise in ascending bin
+/// order (per lane the one-bin loop's additions), then its spectrum is
+/// copied out of the bin-interleaved strip into one contiguous row
+/// (ktagscore gathers from it).
+template <typename Real>
+void score_strip(const AlignedProfiles& profiles,
+                 std::span<const std::uint32_t> bins, std::size_t first,
+                 const StripPlan<Real>& plan, const BinScorer& scorer) {
+  const auto power = strip_power(profiles, bins, first, plan);
+  const std::size_t lanes = bins.size();
+  const std::size_t n_spec = power.size() / lanes;
+  thread_local dsp::RVec wide, total, spectrum;
+  const double* sp;
+  if constexpr (std::is_same_v<Real, double>) {
+    sp = power.data();
+  } else {
+    wide.resize(power.size());
+    for (std::size_t i = 0; i < power.size(); ++i)
+      wide[i] = static_cast<double>(power[i]);
+    sp = wide.data();
+  }
+  total.assign(lanes, 0.0);
+  for (std::size_t k = 1; k < n_spec; ++k)
+    for (std::size_t j = 0; j < lanes; ++j) total[j] += sp[k * lanes + j];
+  spectrum.resize(n_spec);
+  for (std::size_t j = 0; j < lanes; ++j) {
+    for (std::size_t k = 0; k < n_spec; ++k) spectrum[k] = sp[k * lanes + j];
+    scorer.score(bins[j], spectrum, total[j]);
   }
 }
 
@@ -358,6 +421,16 @@ void score_windows(const TagDetectorConfig& config,
   }
   tag_rows.push_back(row_freqs.size());
 
+  // The scored bins (range ≥ min_range_m), in grid order; strips are runs of
+  // kStripBins of them.
+  thread_local std::vector<std::uint32_t> bins;
+  bins.clear();
+  for (std::size_t b = 0; b < n_bins; ++b)
+    if (!(profiles.range_grid[b] < config.min_range_m))
+      bins.push_back(static_cast<std::uint32_t>(b));
+  const std::size_t n_scored = bins.size();
+  const std::size_t n_strips = (n_scored + kStripBins - 1) / kStripBins;
+
   // Window w's tag-major [t·n_bins + b] score matrices start at
   // blk_first[w], t relative to the window's first target. Per-thread
   // scratch: the streaming engine detects thousands of frames per second
@@ -377,7 +450,8 @@ void score_windows(const TagDetectorConfig& config,
   // Workers must use the *calling* thread's scratch: thread_local variables
   // are not captured by lambdas — inside a pool worker they'd name that
   // worker's own (empty) instances. Raw pointers pin the shared buffers;
-  // each (window, bin) item writes only its own slots, so there is no race.
+  // each (window, strip) item writes only its own bins' slots, so there is
+  // no race.
   // The signature bank is a per-worker thread_local memo: a frame scores the
   // same rows in every block, and an inventory round the same channel plan
   // in every slot, so each lane builds it once and then hits. Bank contents
@@ -386,6 +460,14 @@ void score_windows(const TagDetectorConfig& config,
   const double* const row_freqs_p = row_freqs.data();
   const std::size_t* const tag_rows_p = tag_rows.data();
   const std::size_t* const blk_first_p = blk_first.data();
+  const std::uint32_t* const bins_p = bins.data();
+  const bool f32 = config.precision == dsp::Precision::kFloat32Fast;
+  const StripPlan<double>* const plans_d =
+      f32 ? nullptr
+          : strip_plans<double>(windows, config.slow_time_pad_factor);
+  const StripPlan<float>* const plans_f =
+      f32 ? strip_plans<float>(windows, config.slow_time_pad_factor)
+          : nullptr;
   double* const blk_metric_p = blk_metric.data();
   double* const blk_tone_p = blk_tone.data();
   double* const blk_score_p = blk_score.data();
@@ -393,12 +475,15 @@ void score_windows(const TagDetectorConfig& config,
   // Per-range-bin scores: the slow-time tone power at each candidate
   // frequency, gated by the square-wave signature correlation and by tone
   // *prominence* over the bin's own spectral floor (broadband clutter
-  // residue under CSSK slope variation is flat, a tag tone is not). The
-  // spectrum, its median floor, and its total non-DC power are computed
-  // once per (window, bin) and shared by every row — a pure map,
-  // bit-identical for any thread count.
-  bis::parallel_for(pool, 0, windows.size() * n_bins, [&](std::size_t item) {
-    const std::size_t w = item / n_bins;
+  // residue under CSSK slope variation is flat, a tag tone is not). Each
+  // (window, strip) item computes its bins' spectra in one batched
+  // transform and shares each spectrum, its floor and its total non-DC
+  // power across every row — a pure map, bit-identical for any thread count.
+  bis::parallel_for(pool, 0, windows.size() * n_strips, [&](std::size_t item) {
+    const std::size_t w = item / n_strips;
+    const std::size_t lo = (item % n_strips) * kStripBins;
+    const std::span<const std::uint32_t> strip(
+        bins_p + lo, std::min(kStripBins, n_scored - lo));
     const SlotSpan& win = windows[w];
     const std::size_t* const rows_p = tag_rows_p + win.first_target;
     const std::size_t rows = rows_p[win.n_targets] - rows_p[0];
@@ -409,9 +494,14 @@ void score_windows(const TagDetectorConfig& config,
         config.duty_cycle, win.n_chirps, chirp_period, n_fft,
         config.n_harmonics);
     const std::size_t off = blk_first_p[w];
-    score_block_bin(config, profiles, item % n_bins, win.first_chirp,
-                    win.n_chirps, bank, rows, rows_p, n_bins,
-                    blk_metric_p + off, blk_tone_p + off, blk_score_p + off);
+    const BinScorer scorer{config,           bank,
+                           rows,             rows_p,
+                           n_bins,           blk_metric_p + off,
+                           blk_tone_p + off, blk_score_p + off};
+    if (f32)
+      score_strip(profiles, strip, win.first_chirp, plans_f[w], scorer);
+    else
+      score_strip(profiles, strip, win.first_chirp, plans_d[w], scorer);
   });
 
   // Fuse + epilogue, sequential in target order (metrics are recorded in the
@@ -453,8 +543,24 @@ void score_windows(const TagDetectorConfig& config,
 dsp::RVec TagDetector::slow_time_spectrum(const AlignedProfiles& profiles,
                                           std::size_t bin, std::size_t first,
                                           std::size_t count) const {
-  const auto s = spectrum_window(config_, profiles, bin, first, count);
-  return dsp::RVec(s.begin(), s.end());
+  const std::size_t n_chirps = profiles.n_chirps();
+  BIS_CHECK(bin < profiles.n_bins());
+  BIS_CHECK(first < n_chirps);
+  if (count == 0) count = n_chirps - first;
+  BIS_CHECK(first + count <= n_chirps);
+  BIS_CHECK(count >= 4);
+  // A one-bin strip: the detector's own path.
+  const auto b = static_cast<std::uint32_t>(bin);
+  const std::span<const std::uint32_t> one(&b, 1);
+  const std::size_t pad = config_.slow_time_pad_factor;
+  if (config_.precision == dsp::Precision::kFloat32Fast) {
+    const auto p =
+        strip_power(profiles, one, first, make_strip_plan<float>(count, pad));
+    return dsp::RVec(p.begin(), p.end());
+  }
+  const auto p =
+      strip_power(profiles, one, first, make_strip_plan<double>(count, pad));
+  return dsp::RVec(p.begin(), p.end());
 }
 
 TagDetection TagDetector::detect(const AlignedProfiles& profiles,

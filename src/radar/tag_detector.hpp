@@ -26,7 +26,8 @@ struct TagDetectorConfig {
   double duty_cycle = 0.5;
   std::size_t n_harmonics = 3;
   double min_range_m = 0.15;  ///< Ignore the DC/TX-leakage region.
-  std::size_t slow_time_pad_factor = 4;
+  std::size_t slow_time_pad_factor = 4;  ///< Slow-time zero-padding; a
+                                         ///< power of two (checked).
   double detection_threshold_db = 13.0;  ///< Mod-tone power over the noise
                                           ///< floor. Must clear the extreme-
                                           ///< value statistics of max-over-
@@ -45,10 +46,10 @@ struct TagDetectorConfig {
                                  ///< so detection integrates per block and
                                  ///< fuses across blocks. 0 = whole frame
                                  ///< (fixed-tone beacon / OOK).
-  /// Numeric tier for the per-bin slow-time spectrum (column magnitudes,
-  /// Hann window, rfft, |·|²) — the detector's hottest loop. Scores,
-  /// thresholds, and the SNR estimate stay double either way; the float
-  /// spectrum converts to double once per bin. Tolerance-validated.
+  /// Numeric tier for the slow-time spectra (column magnitudes, Hann
+  /// window, rfft, |·|²) — the detector's hottest loop. Scores, thresholds,
+  /// and the SNR estimate stay double either way; the float spectrum
+  /// converts to double once per bin. Tolerance-validated.
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
@@ -99,8 +100,10 @@ class TagDetector {
   /// each target fuses its per-block metrics. Writes targets.size()
   /// detections into @p out (same order). detect, detect_many and
   /// detect_slots share one scoring pass: one flat map over every
-  /// (block, range bin) fanned across @p pool (nullptr = inline), then a
-  /// sequential per-target fuse. Per-tag results are bit-identical to a
+  /// (block, strip of range bins) fanned across @p pool (nullptr = inline)
+  /// — each strip's slow-time spectra come from one lane-batched transform
+  /// (kernels::kfft_strip) — then a sequential per-target fuse. Per-tag
+  /// results are bit-identical to a
   /// one-target call with that target's frequencies, at any tag count,
   /// thread count, and SIMD target: each (block, bin, row) score is the same
   /// IEEE operations whatever else shares the bank, and each work item
@@ -119,7 +122,8 @@ class TagDetector {
   /// and the contiguous run of @p targets scored against it. It is the same
   /// scoring pass as detect_many with the slots as its windows, so a
   /// round's worth of slots costs one parallel pass over every
-  /// (slot, range bin) instead of one detect_many call per slot. Per-slot
+  /// (slot, strip of range bins) instead of one detect_many call per slot.
+  /// Per-slot
   /// results are bit-identical to calling detect_many on a standalone
   /// AlignedProfiles holding just that slot's rows: the windowed column read
   /// touches only the slot's chirps, and a target covered by one window
@@ -137,7 +141,9 @@ class TagDetector {
 
   /// Slow-time one-sided power spectrum of one grid bin (mean-removed,
   /// Hann-windowed, zero-padded) over chirps [first, first+count); count=0
-  /// means the whole frame. Exposed for diagnostics and decoding.
+  /// means the whole frame. The detector's own strip path run on one bin,
+  /// so it is the spectrum detection scores. Exposed for diagnostics and
+  /// decoding.
   dsp::RVec slow_time_spectrum(const AlignedProfiles& profiles, std::size_t bin,
                                std::size_t first = 0, std::size_t count = 0) const;
 

@@ -48,10 +48,10 @@ std::optional<std::vector<PeriodicWindow>> PeriodicGate::slice(
   // The folded pedestal is signed (idle sits at zero-mean noise), so gate a
   // fixed fraction of the way up from the idle level to the burst level,
   // and require the burst level to clear the idle spread.
-  const double lo = std::max(bis::percentile(folded, 10.0), 0.0);
+  const double p10 = bis::percentile(folded, 10.0);
+  const double lo = std::max(p10, 0.0);
   const double hi = bis::percentile(folded, 90.0);
-  const double idle_spread =
-      bis::percentile(folded, 10.0) - bis::percentile(folded, 2.0);
+  const double idle_spread = p10 - bis::percentile(folded, 2.0);
   if (hi - lo <= config_.min_contrast * std::max(idle_spread, 1e-15))
     return std::nullopt;
   const double threshold = lo + 0.35 * (hi - lo);

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
@@ -120,6 +123,52 @@ TEST(Stats, MedianAndPercentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
+}
+
+/// Sort-based percentile: the order statistics of a full sort in the total
+/// order (−0.0 before +0.0), interpolated as bis::percentile documents.
+double sorted_percentile(std::vector<double> v, double pct) {
+  std::sort(v.begin(), v.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+  if (v.size() == 1) return v.front();
+  const double pos = pct / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(Stats, PercentileSelectionMatchesSortBitForBit) {
+  // Selection (nth_element + min_element) must return the bits a full sort
+  // would: sizes 1–130, heavy duplicates, signed zeros, and the percentiles
+  // the detector floor (50) and the tag gates (2, 10, 90) read.
+  Rng rng(2024);
+  const double pcts[] = {0.0, 2.0, 10.0, 50.0, 90.0, 100.0};
+  const double pool[] = {-0.0, 0.0, 1.0, -1.0, 2.5, 1e-300, -3.0};
+  for (std::size_t n = 1; n <= 130; ++n) {
+    for (int kind = 0; kind < 4; ++kind) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        switch (kind) {
+          case 0: x = rng.gaussian(); break;  // distinct values
+          case 1: x = pool[rng.uniform_index(7)]; break;  // duplicates, ±0
+          case 2: x = rng.uniform_index(2) ? 0.0 : -0.0; break;  // zeros only
+          default: x = std::round(rng.gaussian()); break;  // ties, −0.0
+        }
+      }
+      for (double pct : pcts) {
+        const double want = sorted_percentile(v, pct);
+        const double got = bis::percentile(v, pct);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof got), 0)
+            << "n=" << n << " kind=" << kind << " pct=" << pct << ": " << got
+            << " vs " << want;
+      }
+      const double want = sorted_percentile(v, 50.0);
+      const double got = bis::median(v);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof got), 0) << "median n=" << n;
+    }
+  }
 }
 
 TEST(Stats, Rms) {

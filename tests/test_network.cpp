@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/json.hpp"
 #include "core/network.hpp"
 
 namespace bis::core {
@@ -104,6 +105,37 @@ TEST(Network, ConsecutiveSensingFramesDrawFreshNoise) {
     any_differs = any_differs || first[i].snr_db != second[i].snr_db;
   EXPECT_TRUE(any_differs);
   EXPECT_EQ(net.report().uplink_frames, 2u);
+}
+
+TEST(Network, MeanDetectorSnrIncludesMissedAttempts) {
+  // A tag far past the link budget: its one detection attempt misses. The
+  // report's mean SNR is over attempts, so it must read that attempt's SNR,
+  // not 0 dB — on the network report and on the tag's own link report.
+  NetworkConfig cfg;
+  cfg.base.seed = 77;
+  cfg.tags = {{0x01, 400.0,
+               assign_mod_frequencies(1, cfg.base.radar.chirp_period_s)[0]}};
+  BiScatterNetwork net(cfg);
+  const auto obs = net.sense_all(/*downlink_active=*/false);
+  ASSERT_EQ(obs.size(), 1u);
+  ASSERT_FALSE(obs[0].detected);
+  ASSERT_NE(obs[0].snr_db, 0.0);
+  const obs::RunReport report = net.report();
+  EXPECT_EQ(report.detection_attempts, 1u);
+  EXPECT_EQ(report.detections, 0u);
+  EXPECT_EQ(report.mean_detector_snr_db(), obs[0].snr_db);
+  EXPECT_EQ(report.last_detector_snr_db, obs[0].snr_db);
+  // The tag's own link report, as report_json publishes it.
+  const auto doc = json_parse(net.report_json());
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  const JsonValue* links = doc.value.find("links");
+  ASSERT_TRUE(links != nullptr && links->is_array());
+  ASSERT_EQ(links->as_array().size(), 1u);
+  const JsonValue* uplink = links->as_array()[0].find("uplink");
+  ASSERT_NE(uplink, nullptr);
+  // (The JSON writer rounds to a few decimals.)
+  EXPECT_NEAR(uplink->number_or("mean_detector_snr_db", 0.0), obs[0].snr_db,
+              1e-4);
 }
 
 }  // namespace

@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "core/link_simulator.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
+#include "dsp/window.hpp"
+#include "radar/tag_detector.hpp"
 
 namespace bis::dsp::kernels {
 namespace {
@@ -492,6 +495,166 @@ TEST_F(SimdKernels, TagScoreBankFloatTierWithinToleranceOfFloatScalar) {
       EXPECT_NEAR(on[j], on_ref[j], 1e-5f * std::max(1.0f, std::abs(on_ref[j])));
       EXPECT_NEAR(son[j], son_ref[j],
                   1e-5f * std::max(1.0f, std::abs(son_ref[j])));
+    }
+  }
+}
+
+namespace {
+
+/// A slow-time frame for the strip tests: 37 range bins (not a multiple of
+/// any strip width used below), the first three closer than kMinRange so the
+/// scored bins are not the whole grid.
+constexpr double kMinRange = 0.15;
+
+radar::AlignedProfiles strip_frame(std::size_t n_chirps) {
+  radar::AlignedProfiles p;
+  const std::size_t n_bins = 37;
+  p.rows.resize(n_chirps);
+  for (std::size_t m = 0; m < n_chirps; ++m)
+    p.rows[m] = det_complex(n_bins, 300 + m);
+  p.range_grid.resize(n_bins);
+  for (std::size_t b = 0; b < n_bins; ++b)
+    p.range_grid[b] = 0.06 * static_cast<double>(b);
+  p.chirp_period_s = 120e-6;
+  return p;
+}
+
+std::vector<std::uint32_t> scored_bins(const radar::AlignedProfiles& p) {
+  std::vector<std::uint32_t> bins;
+  for (std::size_t b = 0; b < p.n_bins(); ++b)
+    if (!(p.range_grid[b] < kMinRange))
+      bins.push_back(static_cast<std::uint32_t>(b));
+  return bins;
+}
+
+/// The one-bin slow-time chain: |·| column, mean removal, Hann,
+/// rfft_padded_into, knorm.
+RVec per_bin_power(const radar::AlignedProfiles& p, std::size_t bin,
+                   std::size_t first, std::size_t count, std::size_t n_fft) {
+  RVec col(count);
+  double mean = 0.0;
+  for (std::size_t m = 0; m < count; ++m) {
+    col[m] = std::abs(p.rows[first + m][bin]);
+    mean += col[m];
+  }
+  mean /= static_cast<double>(count);
+  const auto w = cached_window(WindowType::kHann, count);
+  for (std::size_t m = 0; m < count; ++m) col[m] = (col[m] - mean) * (*w)[m];
+  CVec spec;
+  rfft_padded_into(col, n_fft, spec);
+  RVec power(spec.size());
+  knorm(spec, power);
+  return power;
+}
+
+/// The same chain for a strip of bins, bin-interleaved, through
+/// rfft_padded_strip and the split knorm. Returns power[k·lanes + j].
+RVec strip_power_of(const radar::AlignedProfiles& p,
+                    std::span<const std::uint32_t> bins, std::size_t first,
+                    std::size_t count, const RfftPlanHandle<double>& plan) {
+  const std::size_t lanes = bins.size();
+  RVec x(count * lanes);
+  RVec mean(lanes, 0.0);
+  for (std::size_t m = 0; m < count; ++m)
+    for (std::size_t j = 0; j < lanes; ++j) {
+      x[m * lanes + j] = std::abs(p.rows[first + m][bins[j]]);
+      mean[j] += x[m * lanes + j];
+    }
+  for (double& v : mean) v /= static_cast<double>(count);
+  const auto w = cached_window(WindowType::kHann, count);
+  for (std::size_t m = 0; m < count; ++m)
+    for (std::size_t j = 0; j < lanes; ++j)
+      x[m * lanes + j] = (x[m * lanes + j] - mean[j]) * (*w)[m];
+  const std::size_t n_spec = (plan.n / 2 + 1) * lanes;
+  RVec re(n_spec), im(n_spec), power(n_spec);
+  rfft_padded_strip(x, lanes, plan, re, im);
+  knorm(re, im, power);
+  return power;
+}
+
+}  // namespace
+
+TEST_F(SimdKernels, SlowTimeStripMatchesPerBinRfftBitForBit) {
+  // The lane-batched slow-time chain must give every bin the bits of the
+  // one-bin chain, on every target: window lengths 8/16/32/48 (48 pads to
+  // 64), pad factors 1 and 4, strip widths whose last strip is partial
+  // (34 scored bins) and that leave lanes past the last SIMD block, over a
+  // windowed chirp range and with the near bins skipped.
+  const std::size_t first = 3;
+  const auto frame = strip_frame(first + 48);
+  const auto bins = scored_bins(frame);
+  ASSERT_EQ(bins.size(), 34u);
+  for (SimdTarget t : available_targets()) {
+    ASSERT_TRUE(set_target(t));
+    SCOPED_TRACE(target_name(t));
+    for (std::size_t count : {8u, 16u, 32u, 48u}) {
+      for (std::size_t pad : {1u, 4u}) {
+        const std::size_t n_fft = next_power_of_two(count) * pad;
+        const auto plan = rfft_plan(n_fft);
+        for (std::size_t width : {1u, 5u, 7u, 16u}) {
+          SCOPED_TRACE("count=" + std::to_string(count) +
+                       " pad=" + std::to_string(pad) +
+                       " lanes=" + std::to_string(width));
+          for (std::size_t lo = 0; lo < bins.size(); lo += width) {
+            const std::span<const std::uint32_t> strip(
+                bins.data() + lo, std::min(width, bins.size() - lo));
+            const RVec power = strip_power_of(frame, strip, first, count, plan);
+            const std::size_t lanes = strip.size();
+            for (std::size_t j = 0; j < lanes; ++j) {
+              const RVec want =
+                  per_bin_power(frame, strip[j], first, count, n_fft);
+              RVec got(want.size());
+              for (std::size_t k = 0; k < got.size(); ++k)
+                got[k] = power[k * lanes + j];
+              ASSERT_TRUE(bits_eq(got, want)) << "bin " << strip[j];
+            }
+          }
+        }
+        // The detector's own path (a one-bin strip with its corner turn).
+        radar::TagDetectorConfig cfg;
+        cfg.slow_time_pad_factor = pad;
+        const radar::TagDetector detector(cfg);
+        for (std::uint32_t b : bins)
+          ASSERT_TRUE(bits_eq(detector.slow_time_spectrum(frame, b, first, count),
+                              per_bin_power(frame, b, first, count, n_fft)))
+              << "bin " << b;
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernels, SlowTimeStripFloatTierWithinToleranceOfPerBin) {
+  // float32_fast: the strip transform against the float one-bin transform
+  // (rfft_padded_into_f32), within a tolerance relative to the spectrum's
+  // peak; targets may fuse differently, so no bitwise claim.
+  for (SimdTarget t : available_targets()) {
+    ASSERT_TRUE(set_target(t));
+    SCOPED_TRACE(target_name(t));
+    for (std::size_t count : {8u, 16u, 32u, 48u}) {
+      for (std::size_t pad : {1u, 4u}) {
+        const std::size_t n_fft = next_power_of_two(count) * pad;
+        const auto plan = rfft_plan_f32(n_fft);
+        const std::size_t lanes = 13;
+        std::vector<float> x(count * lanes);
+        for (std::size_t i = 0; i < x.size(); ++i)
+          x[i] = static_cast<float>(det(i + 9000));
+        const std::size_t n_spec = (n_fft / 2 + 1) * lanes;
+        std::vector<float> re(n_spec), im(n_spec);
+        rfft_padded_strip(std::span<const float>(x), lanes, plan,
+                          std::span<float>(re), std::span<float>(im));
+        for (std::size_t j = 0; j < lanes; ++j) {
+          std::vector<float> col(count);
+          for (std::size_t m = 0; m < count; ++m) col[m] = x[m * lanes + j];
+          CVecF want;
+          rfft_padded_into_f32(col, n_fft, want);
+          float scale = 1e-6f;
+          for (const auto& v : want) scale = std::max(scale, std::abs(v));
+          for (std::size_t k = 0; k < want.size(); ++k) {
+            EXPECT_NEAR(re[k * lanes + j], want[k].real(), 1e-5f * scale);
+            EXPECT_NEAR(im[k * lanes + j], want[k].imag(), 1e-5f * scale);
+          }
+        }
+      }
     }
   }
 }
