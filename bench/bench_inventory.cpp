@@ -35,7 +35,7 @@
 #include "common/thread_pool.hpp"
 #include "core/inventory.hpp"
 #include "core/network.hpp"
-#include "core/slot_frame.hpp"
+#include "core/radar_front_end.hpp"
 #include "radar/tag_detector.hpp"
 #include "tag/gen2_state.hpp"
 
@@ -84,16 +84,11 @@ double naive_ms_per_slot(const core::NetworkConfig& net,
                          std::size_t sample_slots,
                          std::size_t n_responders) {
   const auto alphabet = net.base.make_alphabet();
-  core::SlotFrameConfig sf;
-  sf.slot_chirps = kNaiveFrameChirps;
-  sf.chirp = alphabet.chirp(core::fixed_sensing_slot(alphabet));
-  sf.chirp_period_s = net.base.radar.chirp_period_s;
-  sf.if_synth = net.base.radar.if_synth;
-  sf.if_correction = net.base.if_correction;
-  sf.use_background_subtraction = net.base.use_background_subtraction;
-  sf.seed = net.base.seed;
-  sf.clutter = core::clutter_returns(net.base);
-  core::SlotFrameAssembler assembler(sf);
+  const core::RadarFrontEnd front_end(net.base);
+  core::RadarFrame frame;
+  frame.chirps.assign(kNaiveFrameChirps,
+                      alphabet.chirp(core::fixed_sensing_slot(alphabet)));
+  obs::RunReport report;
 
   const auto plan = core::assign_mod_frequencies(
       inv.n_channels, net.base.radar.chirp_period_s);
@@ -105,25 +100,23 @@ double naive_ms_per_slot(const core::NetworkConfig& net,
   for (double f : plan) targets.push_back({f, {}});
   std::vector<radar::TagDetection> out(targets.size());
 
-  std::vector<core::SlotResponder> responders(n_responders);
+  std::vector<core::TagReturn> responders(n_responders);
   for (std::size_t i = 0; i < n_responders; ++i) {
-    core::SlotResponder& r = responders[i];
-    r.tag = static_cast<std::uint32_t>(i);
-    r.channel = static_cast<std::uint32_t>(i % plan.size());
-    r.mod_freq_hz = plan[r.channel];
-    r.range_m = net.tags[i % net.tags.size()].range_m;
-    r.amplitude_v = core::tag_backscatter_amplitude(net.base, r.range_m);
-    r.phase_rad = 0.37 * static_cast<double>(i);
-    r.duty_phase = tag::draw_duty_phase(net.base.seed, i);
+    const double range_m = net.tags[i % net.tags.size()].range_m;
+    responders[i] = {range_m, core::tag_backscatter_amplitude(net.base, range_m),
+                     0.37 * static_cast<double>(i), plan[i % plan.size()],
+                     tag::draw_duty_phase(net.base.seed, i)};
   }
 
   double best_ms = 1e300;
   for (std::size_t s = 0; s < sample_slots; ++s) {
-    const std::vector<core::SlotJob> jobs = {
-        {s, {responders.data(), responders.size()}}};
+    // The whole frame is slot s's one window, seeded like the engine's.
+    const core::SensingWindow window{0, kNaiveFrameChirps,
+                                     core::slot_window_rng(net.base.seed, 0, s),
+                                     responders, {}};
     const auto t0 = Clock::now();
-    detector.detect_many(assembler.assemble(jobs, 0, nullptr), targets, out,
-                         nullptr);
+    detector.detect_many(front_end.run(frame, {&window, 1}, nullptr, report),
+                         targets, out, nullptr);
     best_ms = std::min(best_ms, 1e3 * seconds_since(t0));
   }
   return best_ms;

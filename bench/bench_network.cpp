@@ -34,12 +34,9 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "common/units.hpp"
 #include "core/network.hpp"
+#include "core/radar_front_end.hpp"
 #include "core/system_config.hpp"
-#include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
 #include "radar/tag_detector.hpp"
 
 namespace {
@@ -60,49 +57,31 @@ Frame make_frame(std::size_t max_tags) {
   core::SystemConfig base;
   base.seed = 20240808;
   const auto alphabet = base.make_alphabet();
-  const std::size_t slot =
-      alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
-  std::vector<rf::ChirpParams> chirps(kFrameChirps, alphabet.chirp(slot));
 
   Frame frame;
   frame.freqs =
       core::assign_mod_frequencies(max_tags, base.radar.chirp_period_s);
 
   // Scene: office clutter plus kPhysicalTags beaconing tags on the first
-  // assigned frequencies, ranges spread across the office.
-  std::vector<radar::IfReturn> returns = core::clutter_returns(base);
-  const std::size_t n_clutter = returns.size();
+  // assigned frequencies, ranges spread across the office — one
+  // BiScatterNetwork-style window of the fixed sensing chirp.
   const std::size_t n_phys = std::min(kPhysicalTags, max_tags);
-  std::vector<double> tag_amp(n_phys);
+  std::vector<core::TagReturn> tags(n_phys);
   for (std::size_t i = 0; i < n_phys; ++i) {
     const double range_m = 1.5 + 0.6 * static_cast<double>(i);
-    tag_amp[i] = core::tag_backscatter_amplitude(base, range_m);
-    returns.push_back({range_m, 0.0, 0.37 * static_cast<double>(i)});
+    tags[i] = {range_m, core::tag_backscatter_amplitude(base, range_m),
+               0.37 * static_cast<double>(i), frame.freqs[i], 0.0};
   }
-  const double reflect =
-      db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
-  const double leak =
-      db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
-
   Rng rng(base.seed ^ 0x5E25Eull);
-  radar::IfSynthesizer synth(base.radar.if_synth, rng.fork());
-  std::vector<dsp::CVec> if_samples(kFrameChirps);
-  for (std::size_t c = 0; c < kFrameChirps; ++c) {
-    const double t = static_cast<double>(c) * base.radar.chirp_period_s;
-    for (std::size_t i = 0; i < n_phys; ++i) {
-      const double f = frame.freqs[i];
-      const bool on = (t * f - std::floor(t * f)) < 0.5;
-      returns[n_clutter + i].amplitude_v = tag_amp[i] * (on ? reflect : leak);
-    }
-    if_samples[c] = synth.synthesize(chirps[c], returns);
-  }
+  const core::SensingWindow window{0, kFrameChirps, rng.fork(), tags, {}};
 
-  radar::RangeProcessor processor{radar::RangeProcessorConfig{}};
-  const auto profiles = processor.process_frame(
-      if_samples, chirps, base.radar.if_synth.sample_rate_hz, nullptr);
-  radar::RangeAligner aligner{base.if_correction};
-  frame.aligned = aligner.align(profiles, nullptr);
-  if (base.use_background_subtraction) radar::subtract_background(frame.aligned, 0);
+  const core::RadarFrontEnd front_end(base);
+  core::RadarFrame radar_frame;
+  radar_frame.chirps.assign(kFrameChirps,
+                            alphabet.chirp(core::fixed_sensing_slot(alphabet)));
+  obs::RunReport report;
+  front_end.run(radar_frame, {&window, 1}, nullptr, report);
+  frame.aligned = std::move(radar_frame.aligned);
   return frame;
 }
 

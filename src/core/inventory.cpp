@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -20,6 +19,10 @@ std::uint32_t clamp_q(double q_fp, std::uint32_t q_min, std::uint32_t q_max) {
 }
 
 }  // namespace
+
+Rng slot_window_rng(std::uint64_t seed, std::uint64_t round, std::uint64_t slot) {
+  return Rng(tag::gen2_hash(seed, 0x5107F4A3ull, round, slot));
+}
 
 InventoryEngine::InventoryEngine(const NetworkConfig& network,
                                  const InventoryConfig& inventory)
@@ -37,23 +40,10 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
         det.precision = network.base.precision;
         return det;
       }()),
-      assembler_([&] {
-        SlotFrameConfig sf;
-        sf.slot_chirps = inventory.slot_chirps;
-        sf.chirp = alphabet_.chirp(fixed_sensing_slot(alphabet_));
-        sf.chirp_period_s = network.base.radar.chirp_period_s;
-        sf.if_synth = network.base.radar.if_synth;
-        sf.if_correction = network.base.if_correction;
-        sf.use_background_subtraction = network.base.use_background_subtraction;
-        sf.seed = network.base.seed;
-        sf.clutter = clutter_returns(network.base);
-        sf.reflect_amp = db_to_amplitude(
-            -network.base.tag.node.frontend.rf_switch.insertion_loss_db);
-        sf.leak_amp = db_to_amplitude(
-            -network.base.tag.node.frontend.rf_switch.isolation_db);
-        return sf;
-      }()) {
+      front_end_(network.base),
+      sensing_chirp_(alphabet_.chirp(fixed_sensing_slot(alphabet_))) {
   BIS_CHECK(!network_.tags.empty());
+  BIS_CHECK(inventory_.slot_chirps >= 8);
   BIS_CHECK(inventory_.session < 4);
   BIS_CHECK(inventory_.n_channels >= 1);
   BIS_CHECK(inventory_.slots_per_batch >= 1);
@@ -80,7 +70,7 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
 
   const std::size_t n = network_.tags.size();
   states_.resize(n);
-  records_.resize(n);
+  tag_returns_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Round-robin channel assignment: deterministic, evenly loaded. (A real
     // tag would randomize per round; the simulator keeps it static so the
@@ -88,10 +78,11 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
     states_[i].channel =
         static_cast<std::uint32_t>(i % inventory_.n_channels);
     states_[i].duty_phase = tag::draw_duty_phase(base.seed, i);
-    records_[i].range_m = network_.tags[i].range_m;
-    records_[i].amplitude_v =
-        tag_backscatter_amplitude(base, network_.tags[i].range_m);
-    records_[i].phase_rad = 0.37 * static_cast<double>(i);
+    tag_returns_[i] = {network_.tags[i].range_m,
+                       tag_backscatter_amplitude(base, network_.tags[i].range_m),
+                       0.37 * static_cast<double>(i),
+                       channel_plan_[states_[i].channel],
+                       states_[i].duty_phase};
   }
   q_fp_ = static_cast<double>(inventory_.q_initial);
   pending_ = 0;
@@ -123,10 +114,10 @@ void InventoryEngine::reset() {
 }
 
 void InventoryEngine::resolve_batch(
-    std::span<const SlotJob> jobs, const radar::AlignedProfiles& aligned,
+    std::span<const std::size_t> occupied_first,
+    std::span<const std::size_t> occupied_count,
     std::span<const radar::SlotSpan> spans,
     std::span<const radar::TagDetection> detections, InventoryRound& round) {
-  (void)aligned;
   // Read rule, per slot: a channel's responder is read iff the detector
   // found that channel in the slot's window AND the channel has exactly one
   // responder there. Two same-channel responders superpose (identity is
@@ -134,19 +125,21 @@ void InventoryEngine::resolve_batch(
   // different channels separate in the slow-time spectrum, so the PHY
   // recovers some MAC collisions — those reads are what the frequency plan
   // buys over pure slotted ALOHA.
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const SlotJob& job = jobs[j];
+  for (std::size_t j = 0; j < occupied_first.size(); ++j) {
+    const std::span<const std::uint32_t> tags(
+        responder_tags_.data() + occupied_first[j], occupied_count[j]);
     const radar::SlotSpan& span = spans[j];
     channel_hits_.assign(inventory_.n_channels, 0);
-    for (const SlotResponder& r : job.responders) ++channel_hits_[r.channel];
-    for (const SlotResponder& r : job.responders) {
-      const radar::TagDetection& det = detections[span.first_target + r.channel];
+    for (std::uint32_t t : tags) ++channel_hits_[states_[t].channel];
+    for (std::uint32_t t : tags) {
+      const std::uint32_t channel = states_[t].channel;
+      const radar::TagDetection& det = detections[span.first_target + channel];
       // The SNR mean is over attempts, so a miss adds its SNR too.
       ++report_.detection_attempts;
       report_.detector_snr_sum_db += det.snr_db;
       report_.last_detector_snr_db = det.snr_db;
-      if (!det.found || channel_hits_[r.channel] != 1) continue;
-      states_[r.tag].flip(inventory_.session);
+      if (!det.found || channel_hits_[channel] != 1) continue;
+      states_[t].flip(inventory_.session);
       --pending_;
       ++round.reads;
       ++report_.detections;
@@ -161,29 +154,46 @@ void InventoryEngine::simulate_slots(
   const std::size_t n_occupied = occupied_slot.size();
   const std::size_t m = inventory_.slot_chirps;
   const std::size_t batch = inventory_.slots_per_batch;
+  const std::uint64_t seed = network_.base.seed;
 
   for (std::size_t done = 0; done < n_occupied; done += batch) {
     const std::size_t take = std::min(batch, n_occupied - done);
-    jobs_.clear();
+    windows_.clear();
     spans_.clear();
     targets_.clear();
     for (std::size_t j = 0; j < take; ++j) {
+      // Slot j of the batch is window j: slot-local slow time (the square
+      // waves restart at the slot boundary; a tag's absolute phase is its
+      // duty phase) and a noise stream of its own.
       const std::size_t o = done + j;
-      jobs_.push_back(
-          {occupied_slot[o],
-           std::span<const SlotResponder>(responders_.data() + occupied_first[o],
-                                          occupied_count[o])});
+      windows_.push_back(
+          {j * m, m, slot_window_rng(seed, round_no, occupied_slot[o]),
+           std::span<const TagReturn>(responders_.data() + occupied_first[o],
+                                      occupied_count[o]),
+           {}});
       spans_.push_back({j * m, m, j * inventory_.n_channels,
                         inventory_.n_channels});
       for (double f : channel_plan_) targets_.push_back({f, {}});
     }
-    const radar::AlignedProfiles& aligned =
-        assembler_.assemble(jobs_, round_no, pool_);
+    {
+      BIS_TRACE_SPAN("core.slot_frame_assemble");
+      // Every chirp is the fixed sensing slope, so the common alignment
+      // grid is the same however many slots share the frame: a
+      // precondition for batched-vs-standalone bit identity.
+      frame_.chirps.assign(take * m, sensing_chirp_);
+      front_end_.run(frame_, windows_, pool_, report_);
+    }
     ++report_.uplink_frames;
     report_.chirps_processed += take * m;
     detections_.resize(targets_.size());
-    detector_.detect_slots(aligned, spans_, targets_, detections_, pool_);
-    resolve_batch(jobs_, aligned, spans_, detections_, round);
+    {
+      obs::StageScope scope(obs::Stage::kDetect, report_);
+      detector_.detect_slots(frame_.aligned, spans_, targets_, detections_,
+                             pool_);
+    }
+    resolve_batch(occupied_first.subspan(done, take),
+                  occupied_count.subspan(done, take), spans_, detections_,
+                  round);
   }
 }
 
@@ -215,20 +225,15 @@ InventoryRound InventoryEngine::run_round() {
   for (std::uint64_t s = 0; s < n_slots; ++s)
     slot_counts_[s + 1] += slot_counts_[s];
   responders_.resize(draws_.size());
+  responder_tags_.resize(draws_.size());
   {
     thread_local std::vector<std::uint64_t> cursor;
     cursor.assign(slot_counts_.begin(), slot_counts_.end() - 1);
     for (std::size_t k = 0; k < draws_.size(); ++k) {
       const std::uint32_t tag_i = pending_tags_[k];
-      SlotResponder r;
-      r.tag = tag_i;
-      r.channel = states_[tag_i].channel;
-      r.mod_freq_hz = channel_plan_[r.channel];
-      r.range_m = records_[tag_i].range_m;
-      r.amplitude_v = records_[tag_i].amplitude_v;
-      r.phase_rad = records_[tag_i].phase_rad;
-      r.duty_phase = states_[tag_i].duty_phase;
-      responders_[cursor[draws_[k]]++] = r;
+      const std::uint64_t at = cursor[draws_[k]]++;
+      responders_[at] = tag_returns_[tag_i];
+      responder_tags_[at] = tag_i;
     }
   }
 

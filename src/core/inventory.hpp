@@ -11,9 +11,11 @@
 /// (QueryAdjust).
 ///
 /// Perf headline — batched slot simulation: occupied slots are grouped into
-/// multi-slot slow-time frames (core::SlotFrameAssembler), one range-FFT +
-/// IF-correction pass per batch, and ONE radar::TagDetector::detect_slots
-/// pass scoring every (slot, channel) pair, fanned across the thread pool.
+/// multi-slot slow-time frames, one core::RadarFrontEnd pass per batch (each
+/// slot one window of the fixed sensing chirp, with its own noise stream and
+/// its responders on their square waves), and ONE
+/// radar::TagDetector::detect_slots pass scoring every (slot, channel) pair,
+/// fanned across the thread pool.
 /// The sequential reference is the same engine at slots_per_batch = 1: one
 /// standalone frame per slot. Every batch size shares every decision input
 /// bit-for-bit, so the inventoried set and the per-round counters are
@@ -38,7 +40,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/network.hpp"
-#include "core/slot_frame.hpp"
+#include "core/radar_front_end.hpp"
 #include "obs/report.hpp"
 #include "radar/tag_detector.hpp"
 #include "tag/gen2_state.hpp"
@@ -125,19 +127,15 @@ class InventoryEngine {
   std::string report_json() const;
 
  private:
-  struct TagRecord {
-    double range_m = 0.0;
-    double amplitude_v = 0.0;  ///< Two-way backscatter amplitude.
-    double phase_rad = 0.0;    ///< Static return phase.
-  };
-
   void simulate_slots(std::uint64_t round_no,
                       std::span<const std::size_t> occupied_first,
                       std::span<const std::size_t> occupied_count,
                       std::span<const std::uint64_t> occupied_slot,
                       InventoryRound& round);
-  void resolve_batch(std::span<const SlotJob> jobs,
-                     const radar::AlignedProfiles& aligned,
+  /// Read rule over one batch's occupied slots (responders
+  /// [first[j], first[j] + count[j]) of the slot-sorted lists).
+  void resolve_batch(std::span<const std::size_t> occupied_first,
+                     std::span<const std::size_t> occupied_count,
                      std::span<const radar::SlotSpan> spans,
                      std::span<const radar::TagDetection> detections,
                      InventoryRound& round);
@@ -146,13 +144,17 @@ class InventoryEngine {
   InventoryConfig inventory_;
   phy::SlopeAlphabet alphabet_;
   radar::TagDetector detector_;
-  SlotFrameAssembler assembler_;
+  RadarFrontEnd front_end_;
+  rf::ChirpParams sensing_chirp_;  ///< Every slot chirp: the fixed slope.
+  RadarFrame frame_;               ///< Reused batched-frame buffers.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
   obs::RunReport report_;
 
   std::vector<tag::Gen2TagState> states_;  ///< Gen2 MAC state per tag.
-  std::vector<TagRecord> records_;         ///< Scene constants per tag.
+  std::vector<TagReturn> tag_returns_;     ///< Each tag's return: range,
+                                           ///< amplitude, phase, channel
+                                           ///< frequency and duty phase.
   std::vector<double> channel_plan_;       ///< Channel → beacon frequency.
   std::size_t pending_ = 0;
   double q_fp_ = 0.0;
@@ -163,13 +165,20 @@ class InventoryEngine {
   std::vector<std::uint32_t> draws_;          ///< Pending-tag slot draws.
   std::vector<std::uint32_t> pending_tags_;   ///< Pending tag indices.
   std::vector<std::uint64_t> slot_counts_;    ///< Counting-sort histogram.
-  std::vector<SlotResponder> responders_;     ///< Slot-sorted responders.
-  std::vector<SlotJob> jobs_;
+  std::vector<TagReturn> responders_;         ///< Slot-sorted responders.
+  std::vector<std::uint32_t> responder_tags_; ///< Their tag indices.
+  std::vector<SensingWindow> windows_;        ///< One per batched slot.
   std::vector<radar::TagTarget> targets_;
   std::vector<radar::SlotSpan> spans_;
   std::vector<radar::TagDetection> detections_;
   std::vector<std::uint32_t> channel_hits_;   ///< Per-channel responder count.
 };
+
+/// The noise stream of MAC slot @p slot's sensing window in round @p round:
+/// a pure function of (seed, round, slot), so a slot's samples do not
+/// depend on which batch it lands in, which batch-mate precedes it, or
+/// which thread runs it.
+Rng slot_window_rng(std::uint64_t seed, std::uint64_t round, std::uint64_t slot);
 
 /// Build a synthetic warehouse population: @p n tags spread deterministically
 /// over ranges [1.2 m, 5.0 m] with addresses i mod 256. The per-tag

@@ -44,7 +44,7 @@ SystemConfig link_config(const LinkServerConfig& config, std::size_t link,
   c.dsp_threads = 1;
   // Pin the IF-correction grid to the whole alphabet (see the header doc):
   // max_range_m = min over slots of R_max is always covered by every chirp,
-  // so align_into's min(config, frame cover) resolves to the pinned value
+  // so the aligner's min(config, frame cover) resolves to the pinned value
   // for every frame. User-set values are respected.
   if (c.if_correction.enabled) {
     const double fs = c.radar.if_synth.sample_rate_hz;

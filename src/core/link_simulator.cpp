@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/constants.hpp"
 #include "common/units.hpp"
-#include "dsp/fft.hpp"
 #include "obs/trace.hpp"
 
 namespace bis::core {
@@ -37,25 +36,6 @@ std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                      tap.excess_delay_s, tap.phase_rad});
   }
   return paths;
-}
-
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  return std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
-      base.radar.rf, base.tag.rf, range_m, f_c)));
-}
-
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  std::vector<radar::IfReturn> out;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    out.push_back({spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
-  return out;
 }
 
 namespace {
@@ -107,65 +87,21 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
       alphabet_(shared_alphabet),
       rng_(config.seed),
       tag_(effective_tag_node_config(config), alphabet_, Rng(config.seed ^ 0x7A67ull)),
-      range_processor_(radar::RangeProcessorConfig{}),
-      aligner_(config.if_correction),
+      front_end_(config),
+      tag_return_{config.tag_range_m,
+                  tag_backscatter_amplitude(config, config.tag_range_m)},
+      sensing_chirp_(alphabet_.chirp(fixed_sensing_slot(alphabet_))),
+      longest_chirp_(sensing_chirp_),
       uplink_detector_(make_uplink_detector_config(tag_.modulator().config(), config.precision)),
       uplink_decoder_(tag_.modulator().config()),
       pool_(resolve_dsp_pool(config.dsp_threads, owned_pool_)) {
   report_.config = config_key(config_);
-
-  // Scene: the tag's two-way backscatter amplitude and the office clutter,
-  // from the same recipe BiScatterNetwork and InventoryEngine use.
-  scene_.tag_range_m = config_.tag_range_m;
-  scene_.tag_amplitude_v =
-      tag_backscatter_amplitude(config_, config_.tag_range_m);
-  scene_.has_tag = true;
-  for (const auto& r : clutter_returns(config_))
-    scene_.clutter.push_back({r.range_m, r.amplitude_v, r.phase_rad});
-
-  // Worst-case per-chirp buffer sizes over the whole alphabet, so job
-  // buffers can be reserved once instead of regrowing whenever CSSK happens
-  // to draw a longer chirp than a given slot has seen before.
-  const double fs = config_.radar.if_synth.sample_rate_hz;
-  for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot) {
-    const auto n = static_cast<std::size_t>(
-        std::floor(alphabet_.chirp(slot).duration_s * fs));
-    if (n == 0) continue;
-    max_chirp_samples_ = std::max(max_chirp_samples_, n);
-    max_fft_bins_ =
-        std::max(max_fft_bins_, dsp::next_power_of_two(n) *
-                                    range_processor_.config().zero_pad_factor);
-  }
+  for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot)
+    if (alphabet_.chirp(slot).duration_s > longest_chirp_.duration_s)
+      longest_chirp_ = alphabet_.chirp(slot);
 }
 
-void LinkSimulator::warm_caches() const {
-  const double fs = config_.radar.if_synth.sample_rate_hz;
-  dsp::CVec silence;
-  dsp::CVecF silence_f32;
-  radar::RangeProfile profile;
-  radar::AlignedProfiles aligned;
-  for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot) {
-    const rf::ChirpParams chirp = alphabet_.chirp(slot);
-    const auto n = static_cast<std::size_t>(std::floor(chirp.duration_s * fs));
-    if (n == 0) continue;
-    // A dry range FFT builds this chirp length's window and FFT plan in the
-    // shared caches and sizes the calling thread's scratch; aligning the
-    // resulting (empty) profile builds the slot's regrid plan against the
-    // pinned grid — the exact (axis, grid) key frames will look up, since
-    // the axis depends only on the chirp metadata, never the samples.
-    silence.assign(n, dsp::cdouble(0.0, 0.0));
-    range_processor_.process_into(silence, chirp, fs, profile);
-    if (config_.precision == dsp::Precision::kFloat32Fast) {
-      // Same dry pass through the float32 path: builds the float window and
-      // float FFT plan for this chirp length and sizes the float scratch.
-      silence_f32.assign(n, dsp::cfloat(0.0f, 0.0f));
-      range_processor_.process_into_f32(silence_f32, chirp, fs, profile);
-    }
-    if (config_.if_correction.enabled)
-      aligner_.align_into(std::span<const radar::RangeProfile>(&profile, 1),
-                          nullptr, aligned);
-  }
-}
+void LinkSimulator::warm_caches() const { front_end_.warm_caches(alphabet_); }
 
 double LinkSimulator::downlink_power_at_tag_dbm(double range_m) const {
   return rf::downlink_power_at_tag_dbm(
@@ -261,19 +197,6 @@ void LinkSimulator::record_downlink(const DownlinkRunResult& result) {
   report_.downlink_bit_errors += result.bit_errors;
 }
 
-void LinkSimulator::chirp_returns_into(double tag_amplitude_factor,
-                                       std::vector<radar::IfReturn>& out) const {
-  out.clear();
-  out.reserve(scene_.clutter.size() + 1);
-  for (const auto& c : scene_.clutter)
-    out.push_back({c.range_m, c.amplitude_v, c.phase_rad});
-  if (scene_.has_tag && tag_amplitude_factor > 0.0) {
-    out.push_back({scene_.tag_range_m,
-                   scene_.tag_amplitude_v * tag_amplitude_factor,
-                   scene_.tag_phase_rad});
-  }
-}
-
 void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
                                          bool downlink_active,
                                          UplinkFrameJob& job) {
@@ -288,101 +211,68 @@ void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
   tag_.modulator().queue_bits(bits);
   tag_.modulator().next_states(n_chirps, job.tag_states);
 
-  job.chirps.clear();
-  job.chirps.reserve(n_chirps);
-  const std::size_t fixed_slot = alphabet_.slot_for_data(alphabet_.data_symbol_count() / 2);
+  std::vector<rf::ChirpParams>& chirps = job.frame.chirps;
+  chirps.clear();
+  chirps.reserve(n_chirps);
   for (std::size_t i = 0; i < n_chirps; ++i) {
-    const std::size_t slot =
+    chirps.push_back(
         downlink_active
-            ? alphabet_.slot_for_data(rng_.uniform_index(alphabet_.data_symbol_count()))
-            : fixed_slot;
-    job.chirps.push_back(alphabet_.chirp(slot));
+            ? alphabet_.chirp(alphabet_.slot_for_data(
+                  rng_.uniform_index(alphabet_.data_symbol_count())))
+            : sensing_chirp_);
   }
-
-  // Reserve each per-chirp buffer at its alphabet-wide worst case. CSSK
-  // varies the chirp duration, so without this a job slot keeps reallocating
-  // every time position i draws a longer chirp than it has ever held — a
-  // coupon-collector process that would take unboundedly many frames to
-  // quiesce. After this, steady-state frames allocate nothing.
-  if (config_.precision == dsp::Precision::kFloat32Fast) {
-    job.if_samples_f32.resize(n_chirps);
-    for (auto& s : job.if_samples_f32) s.reserve(max_chirp_samples_);
-  } else {
-    job.if_samples.resize(n_chirps);
-    for (auto& s : job.if_samples) s.reserve(max_chirp_samples_);
-  }
-  job.profiles.resize(n_chirps);
-  for (auto& p : job.profiles) p.bins.reserve(max_fft_bins_);
+  // Reserve at the longest chirp this frame can draw, so steady-state frames
+  // allocate nothing however CSSK orders its slopes.
+  front_end_.reserve(job.frame, n_chirps,
+                     downlink_active ? longest_chirp_ : sensing_chirp_);
 }
 
-void LinkSimulator::stage_synthesize(UplinkFrameJob& job) {
-  BIS_CHECK(job.chirps.size() == job.tag_states.size());
-  // Synthesis stays sequential within a frame: the synthesizer draws noise
-  // from one RNG stream whose consumption order must not depend on thread
-  // count. The downstream DSP (range FFTs, alignment, slow-time scoring) is
-  // pure and fans across the pool with bit-identical results.
-  radar::IfSynthesizer synth(config_.radar.if_synth, rng_.fork());
-  const double reflect =
-      db_to_amplitude(-config_.tag.node.frontend.rf_switch.insertion_loss_db);
-  const double leak =
-      db_to_amplitude(-config_.tag.node.frontend.rf_switch.isolation_db);
-  const bool f32 = config_.precision == dsp::Precision::kFloat32Fast;
-  job.if_samples.resize(f32 ? 0 : job.chirps.size());
-  job.if_samples_f32.resize(f32 ? job.chirps.size() : 0);
-  double mean_samples = 0.0;
-  for (std::size_t i = 0; i < job.chirps.size(); ++i) {
-    const double factor = job.tag_states[i] ? reflect : leak;
-    chirp_returns_into(factor, job.returns_scratch);
-    if (f32) {
-      synth.synthesize_into_f32(job.chirps[i], job.returns_scratch,
-                                job.if_samples_f32[i]);
-      mean_samples += static_cast<double>(job.if_samples_f32[i].size());
-    } else {
-      synth.synthesize_into(job.chirps[i], job.returns_scratch,
-                            job.if_samples[i]);
-      mean_samples += static_cast<double>(job.if_samples[i].size());
-    }
-  }
-  job.mean_samples = mean_samples / static_cast<double>(job.chirps.size());
+void LinkSimulator::stage_synthesize(UplinkFrameJob& job,
+                                     obs::ServerStatsCollector* server) {
+  const std::size_t n = job.frame.chirps.size();
+  BIS_CHECK(n == job.tag_states.size());
+  const SensingWindow window{0, n, rng_.fork(),
+                             std::span<const TagReturn>(&tag_return_, 1),
+                             job.tag_states};
+  front_end_.synthesize(job.frame, std::span<const SensingWindow>(&window, 1),
+                        nullptr, report_, server);
 }
 
-void LinkSimulator::stage_range_fft(UplinkFrameJob& job, ThreadPool* pool) const {
-  if (config_.precision == dsp::Precision::kFloat32Fast) {
-    range_processor_.process_frame_into_f32(
-        job.if_samples_f32, job.chirps, config_.radar.if_synth.sample_rate_hz,
-        pool, job.profiles);
-    return;
-  }
-  range_processor_.process_frame_into(job.if_samples, job.chirps,
-                                      config_.radar.if_synth.sample_rate_hz,
-                                      pool, job.profiles);
+void LinkSimulator::stage_range_fft(UplinkFrameJob& job, ThreadPool* pool,
+                                    obs::ServerStatsCollector* server) {
+  front_end_.range_fft(job.frame, pool, report_, server);
 }
 
-void LinkSimulator::stage_if_correct(UplinkFrameJob& job, ThreadPool* pool) const {
-  aligner_.align_into(job.profiles, pool, job.aligned);
-  if (config_.use_background_subtraction)
-    radar::subtract_background(job.aligned, 0);
+void LinkSimulator::stage_if_correct(UplinkFrameJob& job, ThreadPool* pool,
+                                     obs::ServerStatsCollector* server) {
+  front_end_.if_correct(job.frame, job.frame.chirps.size(), pool, report_,
+                        server);
 }
 
-void LinkSimulator::stage_detect(UplinkFrameJob& job, ThreadPool* pool) const {
+void LinkSimulator::stage_detect(UplinkFrameJob& job, ThreadPool* pool,
+                                 obs::ServerStatsCollector* server) {
+  obs::StageScope scope(obs::Stage::kDetect, report_, server);
+  const std::size_t n = job.frame.chirps.size();
   job.result.downlink_active = job.downlink_active;
-  job.result.detection = uplink_detector_.detect(job.aligned, pool);
+  job.result.detection = uplink_detector_.detect(job.frame.aligned, pool);
   job.result.snr_processed_db = job.result.detection.snr_db;
   const double gain_db =
-      10.0 * std::log10(std::max(job.mean_samples, 1.0)) +
-      10.0 * std::log10(static_cast<double>(job.chirps.size()));
+      10.0 * std::log10(std::max(job.frame.mean_samples(), 1.0)) +
+      10.0 * std::log10(static_cast<double>(n));
   job.result.snr_per_chirp_db = job.result.snr_processed_db - gain_db;
   job.result.bits_compared = job.sent_bits.size();
   job.result.range_error_m =
-      std::abs(job.result.detection.range_m - scene_.tag_range_m);
+      std::abs(job.result.detection.range_m - tag_return_.range_m);
   if (!job.result.detection.found) job.result.bit_errors = job.sent_bits.size();
 }
 
-void LinkSimulator::stage_decode(UplinkFrameJob& job) const {
+void LinkSimulator::stage_decode(UplinkFrameJob& job,
+                                 obs::ServerStatsCollector* server) {
+  obs::StageScope scope(obs::Stage::kDecode, report_, server);
   if (!job.result.detection.found) return;
   const std::size_t block = uplink_decoder_.config().chirps_per_symbol;
-  if (job.chirps.size() < block) return;  // frame too short to decode
-  uplink_decoder_.decode_into(job.aligned, job.result.detection.grid_bin,
+  if (job.frame.chirps.size() < block) return;  // frame too short to decode
+  uplink_decoder_.decode_into(job.frame.aligned, job.result.detection.grid_bin,
                               job.result.decode);
   for (std::size_t i = 0; i < job.sent_bits.size(); ++i) {
     if (i >= job.result.decode.bits.size() ||
@@ -393,7 +283,7 @@ void LinkSimulator::stage_decode(UplinkFrameJob& job) const {
 
 void LinkSimulator::fold_uplink_frame(const UplinkFrameJob& job) {
   ++report_.uplink_frames;
-  report_.chirps_processed += job.chirps.size();
+  report_.chirps_processed += job.frame.chirps.size();
   ++report_.detection_attempts;
   report_.detector_snr_sum_db += job.result.detection.snr_db;
   report_.last_detector_snr_db = job.result.detection.snr_db;
@@ -406,26 +296,11 @@ const UplinkRunResult& LinkSimulator::run_frame(
     UplinkFrameJob& job, ThreadPool* pool, obs::ServerStatsCollector* server) {
   BIS_TRACE_SPAN("core.uplink_frame");
   job.reset_result();
-  {
-    obs::StageScope scope(obs::Stage::kSynthesize, report_, server);
-    stage_synthesize(job);
-  }
-  {
-    obs::StageScope scope(obs::Stage::kRangeFft, report_, server);
-    stage_range_fft(job, pool);
-  }
-  {
-    obs::StageScope scope(obs::Stage::kIfCorrect, report_, server);
-    stage_if_correct(job, pool);
-  }
-  {
-    obs::StageScope scope(obs::Stage::kDetect, report_, server);
-    stage_detect(job, pool);
-  }
-  {
-    obs::StageScope scope(obs::Stage::kDecode, report_, server);
-    stage_decode(job);
-  }
+  stage_synthesize(job, server);
+  stage_range_fft(job, pool, server);
+  stage_if_correct(job, pool, server);
+  stage_detect(job, pool, server);
+  stage_decode(job, server);
   fold_uplink_frame(job);
   return job.result;
 }
@@ -452,11 +327,10 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   // assigned the modulation pattern, so it knows the schedule); reflective
   // chirps repeat the previous slot as sensing filler the tag never sees.
   // The schedule is the sequential uplink job's input.
-  std::vector<rf::ChirpParams>& chirps = seq_job_.chirps;
+  std::vector<rf::ChirpParams>& chirps = seq_job_.frame.chirps;
   std::vector<int>& states = seq_job_.tag_states;
   chirps.clear();
   states.clear();
-  std::size_t frame_start = 0;     // chirp index where the preamble begins
   std::size_t emitted_preamble = 0;
   std::size_t next_symbol = preamble;  // index into packet_slots
   std::size_t last_slot = alphabet_.header_slot();
@@ -472,7 +346,6 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
       // framing anchors on it).
       if (state == 0) {
         started = true;
-        frame_start = chirps.size();
         slot = packet_slots[emitted_preamble++];
       } else {
         slot = last_slot;  // pre-frame sensing chirp the tag won't see
@@ -488,7 +361,6 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
     chirps.push_back(alphabet_.chirp(slot));
     BIS_CHECK_MSG(chirps.size() < 100000, "integrated schedule failed to place payload");
   }
-  (void)frame_start;
   // The frame ends here: reply bits it had no room for are dropped, not
   // carried into the next frame (they are counted in uplink_bits_dropped).
   tag_.modulator().discard_pending();

@@ -13,6 +13,12 @@
 ///     symbols on chirps the tag will absorb, so two-way communication and
 ///     sensing share every frame (paper §3.3).
 ///
+/// The radar side of an uplink frame runs through core::RadarFrontEnd, the
+/// receive chain BiScatterNetwork and InventoryEngine share. The simulator
+/// supplies the chirp schedule (fixed sensing slope, or random CSSK slopes
+/// while the downlink is active), one window forked from its RNG, its one
+/// tag switched by the modulator's per-chirp states, and detect + decode.
+///
 /// Everything a simulator does lands in its own `report()`: the
 /// measurement helpers (core/experiments.hpp), LinkServer and SweepRunner
 /// all drive LinkSimulators and merge those reports rather than rebuilding
@@ -21,13 +27,10 @@
 #include <memory>
 
 #include "common/thread_pool.hpp"
+#include "core/radar_front_end.hpp"
 #include "core/system_config.hpp"
 #include "obs/report.hpp"
 #include "phy/ber.hpp"
-#include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
 #include "radar/tag_detector.hpp"
 #include "radar/uplink_decoder.hpp"
 #include "tag/tag_node.hpp"
@@ -63,25 +66,16 @@ struct IsacRunResult {
 };
 
 /// One uplink frame flowing through the staged pipeline. The job owns every
-/// buffer the stages touch (inputs, per-stage intermediates, result), so a
+/// buffer the stages touch (inputs, the front-end frame, result), so a
 /// frame processed with warm capacities allocates nothing — the LinkServer
 /// keeps one job per link and recycles it forever.
 struct UplinkFrameJob {
-  // Inputs, filled by prepare_uplink_frame.
+  // Inputs, filled by prepare_uplink_frame (the chirp schedule goes into
+  // frame.chirps).
   phy::Bits sent_bits;
   bool downlink_active = false;
-  std::vector<rf::ChirpParams> chirps;
   std::vector<int> tag_states;
-  // Per-stage intermediates. Exactly one of if_samples / if_samples_f32 is
-  // populated per frame, selected by SystemConfig::precision: the float32
-  // buffers carry the synthesize → range-FFT leg of the float32_fast tier
-  // and convert to the double RangeProfile at the range-FFT output.
-  std::vector<dsp::CVec> if_samples;
-  std::vector<dsp::CVecF> if_samples_f32;
-  double mean_samples = 0.0;
-  std::vector<radar::RangeProfile> profiles;
-  radar::AlignedProfiles aligned;
-  std::vector<radar::IfReturn> returns_scratch;
+  RadarFrame frame;
   // Output.
   UplinkRunResult result;
 
@@ -126,11 +120,12 @@ class LinkSimulator {
   // ---- Stage API ----
   //
   // An uplink frame advances prepare → synthesize → range_fft → if_correct
-  // → detect → decode → fold. prepare/synthesize/fold mutate per-link state
-  // (tag modulator, RNG, report) and must run frame-ordered on one thread at
-  // a time per link; the const stages are pure per-job maps, safe on any
-  // worker thread. run_frame is the one place that sequence is written out;
-  // run_uplink, run_integrated and core::LinkServer all drive it.
+  // → detect → decode → fold. Every stage times itself under an
+  // obs::StageScope into this simulator's report (and, when given,
+  // @p server's collector), and prepare/synthesize/fold also advance the
+  // tag modulator and RNG, so a link's stages run frame-ordered on one
+  // thread at a time. run_frame is the one place that sequence is written
+  // out; run_uplink, run_integrated and core::LinkServer all drive it.
 
   /// Queue @p bits on the tag, draw the frame's chirp schedule, and fill the
   /// job's inputs. Consumes per-link RNG exactly like run_uplink.
@@ -139,19 +134,23 @@ class LinkSimulator {
   /// Synthesize per-chirp IF returns (forks the per-link RNG once — must
   /// follow prepare_uplink_frame for the same frame immediately in RNG
   /// order).
-  void stage_synthesize(UplinkFrameJob& job);
-  void stage_range_fft(UplinkFrameJob& job, ThreadPool* pool) const;
-  void stage_if_correct(UplinkFrameJob& job, ThreadPool* pool) const;
-  void stage_detect(UplinkFrameJob& job, ThreadPool* pool) const;
-  void stage_decode(UplinkFrameJob& job) const;
+  void stage_synthesize(UplinkFrameJob& job,
+                        obs::ServerStatsCollector* server = nullptr);
+  void stage_range_fft(UplinkFrameJob& job, ThreadPool* pool,
+                       obs::ServerStatsCollector* server = nullptr);
+  void stage_if_correct(UplinkFrameJob& job, ThreadPool* pool,
+                        obs::ServerStatsCollector* server = nullptr);
+  void stage_detect(UplinkFrameJob& job, ThreadPool* pool,
+                    obs::ServerStatsCollector* server = nullptr);
+  void stage_decode(UplinkFrameJob& job,
+                    obs::ServerStatsCollector* server = nullptr);
   /// Accumulate the finished frame into the link's report (frame-ordered).
   void fold_uplink_frame(const UplinkFrameJob& job);
 
   /// Drive a job whose inputs are filled (by prepare_uplink_frame, or by
   /// run_integrated's schedule) through synthesize … decode on @p pool and
-  /// fold it. Each stage runs under an obs::StageScope into this
-  /// simulator's report and, when given, @p server's collector. Returns
-  /// the job's result (a reference into @p job: no copy, no allocation).
+  /// fold it. Returns the job's result (a reference into @p job: no copy,
+  /// no allocation).
   const UplinkRunResult& run_frame(UplinkFrameJob& job, ThreadPool* pool,
                                    obs::ServerStatsCollector* server = nullptr);
 
@@ -159,10 +158,9 @@ class LinkSimulator {
   /// plans, and — when the IF-correction grid is pinned via
   /// SystemConfig::if_correction — regrid plans) for every chirp in the
   /// alphabet, and grow the calling thread's thread_local DSP scratch to the
-  /// worst-case chirp size. One dry pure pass per alphabet slot; touches no
-  /// RNG or report state. The LinkServer calls this on each of its lanes so
-  /// steady-state frames never miss a plan cache, which would allocate.
-  /// Safe to call concurrently.
+  /// worst-case chirp size (RadarFrontEnd::warm_caches). The LinkServer
+  /// calls this on each of its lanes so steady-state frames never miss a
+  /// plan cache, which would allocate. Safe to call concurrently.
   void warm_caches() const;
 
   // ---- Analytic link quantities (benchmark axes) ----
@@ -199,10 +197,6 @@ class LinkSimulator {
   void reset_report();
 
  private:
-  /// IF returns for one chirp given the tag's reflective amplitude factor.
-  void chirp_returns_into(double tag_amplitude_factor,
-                          std::vector<radar::IfReturn>& out) const;
-
   /// Fold a finished downlink decode into report_ (shared by run_downlink
   /// and run_integrated).
   void record_downlink(const DownlinkRunResult& result);
@@ -211,9 +205,12 @@ class LinkSimulator {
   phy::SlopeAlphabet alphabet_;
   Rng rng_;
   tag::TagNode tag_;
-  radar::Scene scene_;
-  radar::RangeProcessor range_processor_;
-  radar::RangeAligner aligner_;
+  RadarFrontEnd front_end_;
+  TagReturn tag_return_;  ///< The tag in the sensing scene (range, two-way
+                          ///< amplitude); the modulator switches it.
+  rf::ChirpParams sensing_chirp_;  ///< Fixed slope of pure sensing frames.
+  rf::ChirpParams longest_chirp_;  ///< Longest alphabet chirp: CSSK frames
+                                   ///< reserve their buffers at its size.
   radar::TagDetector uplink_detector_;   ///< Shared across frames — the
                                          ///< detector config is fixed by the
                                          ///< tag's uplink config.
@@ -221,11 +218,6 @@ class LinkSimulator {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When config_.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< nullptr = sequential.
   UplinkFrameJob seq_job_;  ///< Reused by run_uplink and run_integrated.
-  std::size_t max_chirp_samples_ = 0;  ///< Worst case over the alphabet —
-  std::size_t max_fft_bins_ = 0;       ///< prepare_uplink_frame reserves
-                                       ///< these so per-chirp buffers never
-                                       ///< regrow when CSSK draws a longer
-                                       ///< chirp than a job slot has seen.
   obs::RunReport report_;                   ///< Accumulated run telemetry.
 };
 
@@ -248,15 +240,5 @@ tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config);
 /// LinkSimulator::incident_paths, bit-identical to it.
 std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                                                   double range_m);
-
-/// Two-way backscatter amplitude (volts at the radar ADC) of a tag at
-/// @p range_m under @p base's link budget, evaluated at the band center.
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m);
-
-/// The static office-clutter prefix of a sensing scene, link-budget scaled.
-/// LinkSimulator, BiScatterNetwork and the inventory engine's slot frames
-/// share this scene recipe, so a tag return sits on the same clutter floor
-/// in all three.
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base);
 
 }  // namespace bis::core

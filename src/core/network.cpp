@@ -4,11 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/units.hpp"
 #include "obs/trace.hpp"
-#include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
 
 namespace bis::core {
 namespace {
@@ -40,10 +36,6 @@ std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s)
   return freqs;
 }
 
-std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet) {
-  return alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
-}
-
 std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
                                       std::size_t n_chirps,
                                       double chirp_period_s) {
@@ -63,8 +55,7 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
     : config_(config),
       alphabet_(config.base.make_alphabet()),
       sense_rng_(config.base.seed ^ 0x5E25Eull),
-      processor_(radar::RangeProcessorConfig{}),
-      aligner_(config.base.if_correction),
+      front_end_(config.base),
       detector_(network_detector_config(config)) {
   BIS_CHECK(!config_.tags.empty());
   report_.config =
@@ -73,6 +64,7 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
 
   const std::size_t n = config_.tags.size();
   tags_.reserve(n);
+  tag_returns_.reserve(n);
   targets_.reserve(n);
   std::vector<double> freqs;
   freqs.reserve(n);
@@ -86,26 +78,15 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
     sc.tag.node.uplink.mod_frequencies_hz = {t.mod_freq_hz};
     sc.seed = config_.base.seed + 101 * (i + 1);
     tags_.push_back(std::make_unique<TagState>(sc, alphabet_));
+    // Every tag beacons its square wave from the frame start (duty phase 0).
+    tag_returns_.push_back({t.range_m,
+                            tag_backscatter_amplitude(config_.base, t.range_m),
+                            0.37 * static_cast<double>(i), t.mod_freq_hz, 0.0});
     targets_.push_back({t.mod_freq_hz, {}});
     freqs.push_back(t.mod_freq_hz);
   }
   collisions_ = count_mod_freq_collisions(freqs, config_.frame_chirps,
                                           config_.base.radar.chirp_period_s);
-
-  // Shared sensing scene, built once: clutter prefix then one return slot
-  // per tag. sense_all only rewrites the per-tag amplitudes each chirp.
-  const auto& base = config_.base;
-  tag_amp_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    tag_amp_[i] = tag_backscatter_amplitude(base, config_.tags[i].range_m);
-  returns_ = clutter_returns(base);
-  n_clutter_ = returns_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    returns_.push_back(
-        {config_.tags[i].range_m, 0.0, 0.37 * static_cast<double>(i)});
-  }
-  reflect_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
-  leak_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
 }
 
 void BiScatterNetwork::calibrate_all() {
@@ -175,12 +156,13 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
 
 std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   BIS_TRACE_SPAN("core.network_sense");
-  const auto& base = config_.base;
 
-  // Per-chirp schedule: every tag beacons at its own frequency.
+  // Per-chirp schedule: the fixed sensing slope, or random CSSK slopes
+  // while the downlink is active.
   const std::size_t n_chirps = config_.frame_chirps;
-  chirps_.clear();
-  chirps_.reserve(n_chirps);
+  std::vector<rf::ChirpParams>& chirps = frame_.chirps;
+  chirps.clear();
+  chirps.reserve(n_chirps);
   const std::size_t fixed_slot = fixed_sensing_slot(alphabet_);
   for (std::size_t i = 0; i < n_chirps; ++i) {
     const std::size_t slot =
@@ -188,51 +170,22 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
             ? alphabet_.slot_for_data(
                   sense_rng_.uniform_index(alphabet_.data_symbol_count()))
             : fixed_slot;
-    chirps_.push_back(alphabet_.chirp(slot));
+    chirps.push_back(alphabet_.chirp(slot));
   }
 
-  radar::IfSynthesizer synth(base.radar.if_synth, sense_rng_.fork());
-
-  // Synthesis stays sequential (single RNG stream); the frame DSP below
-  // fans across the pool with bit-identical results. The shared returns_
-  // scene only rewrites the per-tag amplitudes each chirp — no per-chirp
-  // allocation at steady state.
   ++report_.uplink_frames;
   report_.chirps_processed += n_chirps;
   report_.mod_freq_collisions += collisions_;
-  if_samples_.resize(n_chirps);
-  {
-    obs::StageScope scope(obs::Stage::kSynthesize, report_);
-    for (std::size_t c = 0; c < n_chirps; ++c) {
-      const double t = static_cast<double>(c) * base.radar.chirp_period_s;
-      for (std::size_t i = 0; i < tags_.size(); ++i) {
-        const double f = config_.tags[i].mod_freq_hz;
-        const double phase = t * f - std::floor(t * f);
-        const bool on = phase < 0.5;
-        returns_[n_clutter_ + i].amplitude_v =
-            tag_amp_[i] * (on ? reflect_ : leak_);
-      }
-      synth.synthesize_into(chirps_[c], returns_, if_samples_[c]);
-    }
-  }
-  {
-    obs::StageScope scope(obs::Stage::kRangeFft, report_);
-    processor_.process_frame_into(if_samples_, chirps_,
-                                  base.radar.if_synth.sample_rate_hz, pool_,
-                                  profiles_);
-  }
-  {
-    obs::StageScope scope(obs::Stage::kIfCorrect, report_);
-    aligner_.align_into(profiles_, pool_, aligned_);
-    if (base.use_background_subtraction) radar::subtract_background(aligned_, 0);
-  }
+  const SensingWindow window{0, n_chirps, sense_rng_.fork(), tag_returns_, {}};
+  front_end_.run(frame_, std::span<const SensingWindow>(&window, 1), pool_,
+                 report_);
 
   // One batched pass scores every tag against the shared spectra —
   // decision- and score-identical to a per-tag sequential detect loop.
   detections_.resize(targets_.size());
   {
     obs::StageScope scope(obs::Stage::kDetect, report_);
-    detector_.detect_many(aligned_, targets_, detections_, pool_);
+    detector_.detect_many(frame_.aligned, targets_, detections_, pool_);
   }
 
   std::vector<TagObservation> out;

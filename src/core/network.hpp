@@ -10,11 +10,12 @@
 ///
 /// The network holds lightweight per-tag state (a TagNode plus its derived
 /// SystemConfig and report) instead of one full LinkSimulator per tag, and
-/// senses every tag from ONE shared frame: the range–slow-time spectrum is
-/// computed once and all tags are scored through the batched
-/// radar::TagDetector::detect_many bank (see DESIGN.md on batched
-/// multi-tag detection). Detection decisions are bit-identical to running
-/// the sequential single-tag detector per tag.
+/// senses every tag from ONE shared frame through core::RadarFrontEnd: one
+/// window forked from the network's sensing RNG, every tag on its own
+/// square wave. The range–slow-time spectrum is computed once and all tags
+/// are scored through the batched radar::TagDetector::detect_many bank (see
+/// DESIGN.md on batched multi-tag detection). Detection decisions are
+/// bit-identical to running the sequential single-tag detector per tag.
 
 #include <cstdint>
 #include <memory>
@@ -124,26 +125,13 @@ class BiScatterNetwork {
   Rng sense_rng_;  ///< sense_all's chirp schedule and noise; seeded once,
                    ///< so each sensing frame draws fresh ones.
 
-  // Shared radar-side pipeline stages, constructed once.
-  radar::RangeProcessor processor_;
-  radar::RangeAligner aligner_;
+  RadarFrontEnd front_end_;
+  RadarFrame frame_;                     ///< Reused sensing-frame buffers.
+  std::vector<TagReturn> tag_returns_;   ///< One per tag, fixed.
   radar::TagDetector detector_;
   std::vector<radar::TagTarget> targets_;      ///< One per tag, fixed.
   std::vector<radar::TagDetection> detections_;  ///< detect_many output.
-
-  // Precomputed scene/link constants.
-  std::vector<double> tag_amp_;  ///< Two-way backscatter amplitude per tag.
-  double reflect_ = 1.0;         ///< RF-switch reflective amplitude factor.
-  double leak_ = 0.0;            ///< Absorptive-state leakage factor.
-  std::size_t n_clutter_ = 0;    ///< Clutter prefix length of returns_.
   std::size_t collisions_ = 0;   ///< See mod_freq_collisions().
-
-  // Reused frame buffers (allocated once, steady-state alloc-free).
-  std::vector<rf::ChirpParams> chirps_;
-  std::vector<radar::IfReturn> returns_;  ///< [clutter..., one per tag].
-  std::vector<dsp::CVec> if_samples_;
-  std::vector<radar::RangeProfile> profiles_;
-  radar::AlignedProfiles aligned_;
   std::unique_ptr<bool[]> flags_;  ///< Absorptive flags for downlink frames.
   std::size_t flags_capacity_ = 0;
 };
@@ -151,10 +139,6 @@ class BiScatterNetwork {
 /// Assign well-separated modulation frequencies to @p n tags below the
 /// slow-time Nyquist bound for @p chirp_period_s.
 std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s);
-
-/// The fixed (non-data-bearing) sensing slot of a CSSK alphabet — the middle
-/// data symbol, the slope every pure sensing chirp uses.
-std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet);
 
 /// Count assigned-frequency pairs closer than the slow-time FFT resolution
 /// 1/(n_chirps · chirp_period_s) — adjacent pairs after sorting. Such pairs

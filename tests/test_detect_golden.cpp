@@ -15,14 +15,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
+#include "core/inventory.hpp"
 #include "core/network.hpp"
-#include "core/slot_frame.hpp"
+#include "core/radar_front_end.hpp"
 #include "phy/uplink.hpp"
 #include "radar/if_synthesizer.hpp"
 #include "radar/range_align.hpp"
@@ -223,42 +225,41 @@ TEST(DetectGolden, ThreeSlotDetectSlots) {
   };
   core::SystemConfig base;
   base.seed = 33;
+  // The pinned frame was recorded with an ideal RF switch: full reflection
+  // (0 dB insertion loss gives exactly 1.0) and no absorptive leakage.
+  base.tag.node.frontend.rf_switch.insertion_loss_db = 0.0;
+  base.tag.node.frontend.rf_switch.isolation_db =
+      std::numeric_limits<double>::infinity();
   const auto alphabet = base.make_alphabet();
   const auto plan = core::assign_mod_frequencies(4, base.radar.chirp_period_s);
   const std::size_t m = 64;
-  core::SlotFrameConfig sf;
-  sf.slot_chirps = m;
-  sf.chirp = alphabet.chirp(core::fixed_sensing_slot(alphabet));
-  sf.chirp_period_s = base.radar.chirp_period_s;
-  sf.if_synth = base.radar.if_synth;
-  sf.if_correction = base.if_correction;
-  sf.use_background_subtraction = base.use_background_subtraction;
-  sf.seed = base.seed;
-  sf.clutter = core::clutter_returns(base);
-  core::SlotFrameAssembler assembler(sf);
 
-  std::vector<core::SlotResponder> all;
+  std::vector<core::TagReturn> all;
   for (std::uint32_t t = 0; t < 5; ++t) {
-    core::SlotResponder r;
-    r.tag = t;
-    r.channel = t % 4;
-    r.mod_freq_hz = plan[t % 4];
-    r.range_m = 1.5 + 0.8 * t;
-    r.amplitude_v = core::tag_backscatter_amplitude(base, r.range_m);
-    r.phase_rad = 0.37 * static_cast<double>(t);
-    r.duty_phase = tag::draw_duty_phase(base.seed, t);
-    all.push_back(r);
+    const double range_m = 1.5 + 0.8 * t;
+    all.push_back({range_m, core::tag_backscatter_amplitude(base, range_m),
+                   0.37 * static_cast<double>(t), plan[t % 4],
+                   tag::draw_duty_phase(base.seed, t)});
   }
-  const std::vector<core::SlotJob> jobs = {{3, {all.data() + 0, 1}},
-                                           {7, {all.data() + 1, 2}},
-                                           {9, {all.data() + 3, 2}}};
+  // Slots 3, 7 and 9 of round 5, as InventoryEngine batches them: slot j is
+  // window j with the slot's own noise stream.
+  const std::uint64_t slots[] = {3, 7, 9};
+  const std::span<const core::TagReturn> responders[] = {
+      {all.data() + 0, 1}, {all.data() + 1, 2}, {all.data() + 3, 2}};
+  std::vector<core::SensingWindow> windows;
   std::vector<TagTarget> targets;
   std::vector<SlotSpan> spans;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
+  for (std::size_t s = 0; s < 3; ++s) {
+    windows.push_back({s * m, m, core::slot_window_rng(base.seed, 5, slots[s]),
+                       responders[s], {}});
     spans.push_back({s * m, m, s * plan.size(), plan.size()});
     for (double f : plan) targets.push_back({f, {}});
   }
-  const AlignedProfiles& aligned = assembler.assemble(jobs, 5, nullptr);
+  const core::RadarFrontEnd front_end(base);
+  core::RadarFrame frame;
+  frame.chirps.assign(3 * m, alphabet.chirp(core::fixed_sensing_slot(alphabet)));
+  obs::RunReport report;
+  const AlignedProfiles& aligned = front_end.run(frame, windows, nullptr, report);
 
   TagDetectorConfig cfg;
   cfg.expected_mod_freq_hz = plan[0];
@@ -270,6 +271,64 @@ TEST(DetectGolden, ThreeSlotDetectSlots) {
         return out;
       },
       kWant);
+}
+
+// A three-tag BiScatterNetwork: sense_all(false) then sense_all(true) on
+// one network, so the pin covers the front end's fixed-slope and CSSK
+// frames end to end (synthesis, range FFT, IF correction, background
+// subtraction, detect_many), inline and on a 4-lane pool.
+TEST(DetectGolden, NetworkSenseAll) {
+  struct Want {
+    bool detected;
+    std::uint64_t range_m;
+    std::uint64_t snr_db;
+  };
+  static constexpr Want kWant[2][3] = {
+      {{true, 0x3ffcd4d02f630e35ULL, 0x4051097bf1fe4bfeULL},
+       {true, 0x400cd2f8bc426a59ULL, 0x404c1903b4dfef9eULL},
+       {true, 0x4015992730fa7004ULL, 0x40486602d655db9fULL}},
+      {{true, 0x3ffd00d85dd97c1cULL, 0x4050d0bcef707c27ULL},
+       {true, 0x400cf113ea0e02ebULL, 0x404b6098583a3972ULL},
+       {true, 0x4015b7e947eeceadULL, 0x4047d202b74b94eaULL}},
+  };
+  static constexpr std::uint64_t kDetections = 6;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads == 1 ? "inline" : "4-lane pool");
+    core::NetworkConfig net;
+    net.base.seed = 77;
+    net.base.dsp_threads = threads;
+    const auto freqs =
+        core::assign_mod_frequencies(3, net.base.radar.chirp_period_s);
+    net.tags = {{0x01, 1.8, freqs[0]}, {0x02, 3.6, freqs[1]},
+                {0x03, 5.4, freqs[2]}};
+    core::BiScatterNetwork network(net);
+    std::string rows;
+    bool ok = true;
+    for (std::size_t frame = 0; frame < 2; ++frame) {
+      const auto obs = network.sense_all(/*downlink_active=*/frame == 1);
+      ASSERT_EQ(obs.size(), 3u);
+      rows += "      {";
+      for (std::size_t i = 0; i < 3; ++i) {
+        const Want& w = kWant[frame][i];
+        const auto range = std::bit_cast<std::uint64_t>(obs[i].range_m);
+        const auto snr = std::bit_cast<std::uint64_t>(obs[i].snr_db);
+        ok = ok && obs[i].detected == w.detected && range == w.range_m &&
+             snr == w.snr_db;
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "{%s, 0x%016llxULL, 0x%016llxULL}%s",
+                      obs[i].detected ? "true" : "false",
+                      static_cast<unsigned long long>(range),
+                      static_cast<unsigned long long>(snr), i < 2 ? ", " : "");
+        rows += buf;
+      }
+      rows += "},\n";
+    }
+    EXPECT_TRUE(ok) << "observations differ from the pinned values; actual "
+                       "rows:\n"
+                    << rows;
+    EXPECT_EQ(network.report().detection_attempts, 6u);
+    EXPECT_EQ(network.report().detections, kDetections);
+  }
 }
 
 }  // namespace bis::radar

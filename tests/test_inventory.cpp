@@ -10,7 +10,8 @@
 
 #include "core/inventory.hpp"
 #include "core/network.hpp"
-#include "core/slot_frame.hpp"
+#include "core/radar_front_end.hpp"
+#include "obs/telemetry.hpp"
 #include "radar/tag_detector.hpp"
 #include "tag/gen2_state.hpp"
 
@@ -23,33 +24,47 @@ SystemConfig small_base() {
   return base;
 }
 
-SlotFrameConfig slot_frame_config(const SystemConfig& base,
-                                  const phy::SlopeAlphabet& alphabet,
-                                  std::size_t slot_chirps = 64) {
-  SlotFrameConfig sf;
-  sf.slot_chirps = slot_chirps;
-  sf.chirp = alphabet.chirp(fixed_sensing_slot(alphabet));
-  sf.chirp_period_s = base.radar.chirp_period_s;
-  sf.if_synth = base.radar.if_synth;
-  sf.if_correction = base.if_correction;
-  sf.use_background_subtraction = base.use_background_subtraction;
-  sf.seed = base.seed;
-  sf.clutter = clutter_returns(base);
-  return sf;
+TagReturn responder(std::uint32_t tag, double freq, double range_m, double amp,
+                    double duty_phase) {
+  return {range_m, amp, 0.37 * static_cast<double>(tag), freq, duty_phase};
 }
 
-SlotResponder responder(std::uint32_t tag, std::uint32_t channel, double freq,
-                        double range_m, double amp, double duty_phase) {
-  SlotResponder r;
-  r.tag = tag;
-  r.channel = channel;
-  r.mod_freq_hz = freq;
-  r.range_m = range_m;
-  r.amplitude_v = amp;
-  r.phase_rad = 0.37 * static_cast<double>(tag);
-  r.duty_phase = duty_phase;
-  return r;
-}
+/// One occupied MAC slot: its index (which seeds its noise) and responders.
+struct SlotJob {
+  std::uint64_t slot = 0;
+  std::span<const TagReturn> responders;
+};
+
+/// InventoryEngine's batched slot frame through the shared front end: slot
+/// j of a batch is window j, m chirps of the fixed sensing slope with the
+/// slot's own noise stream and its responders on their square waves.
+class SlotFrames {
+ public:
+  explicit SlotFrames(const SystemConfig& base, std::size_t m = 64)
+      : seed_(base.seed), m_(m), front_end_(base) {
+    const auto alphabet = base.make_alphabet();
+    chirp_ = alphabet.chirp(fixed_sensing_slot(alphabet));
+  }
+
+  const radar::AlignedProfiles& assemble(std::span<const SlotJob> jobs,
+                                         std::uint64_t round,
+                                         ThreadPool* pool = nullptr) {
+    std::vector<SensingWindow> windows;
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      windows.push_back({j * m_, m_, slot_window_rng(seed_, round, jobs[j].slot),
+                         jobs[j].responders, {}});
+    frame_.chirps.assign(jobs.size() * m_, chirp_);
+    return front_end_.run(frame_, windows, pool, report_);
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::size_t m_;
+  RadarFrontEnd front_end_;
+  rf::ChirpParams chirp_;
+  RadarFrame frame_;
+  obs::RunReport report_;
+};
 
 radar::TagDetectorConfig detector_config(double freq) {
   radar::TagDetectorConfig det;
@@ -89,16 +104,15 @@ TEST(Gen2State, SlotDrawUniformAndInRange) {
 // matched filter must not report a clean singleton.
 TEST(InventoryDetect, SuperpositionCorruptsSameChannelPair) {
   const SystemConfig base = small_base();
-  const auto alphabet = base.make_alphabet();
   const auto plan = assign_mod_frequencies(8, base.radar.chirp_period_s);
-  SlotFrameAssembler assembler(slot_frame_config(base, alphabet));
+  SlotFrames assembler(base);
   const radar::TagDetector detector(detector_config(plan[0]));
 
   const double amp = tag_backscatter_amplitude(base, 2.0);
-  const SlotResponder solo = responder(0, 0, plan[0], 2.0, amp, 0.25);
+  const TagReturn solo = responder(0, plan[0], 2.0, amp, 0.25);
 
   std::vector<SlotJob> jobs = {{0, {&solo, 1}}};
-  const auto det_solo = detector.detect(assembler.assemble(jobs, 0, nullptr));
+  const auto det_solo = detector.detect(assembler.assemble(jobs, 0));
   ASSERT_TRUE(det_solo.found);
   EXPECT_NEAR(det_solo.range_m, 2.0, 0.15);
 
@@ -109,12 +123,12 @@ TEST(InventoryDetect, SuperpositionCorruptsSameChannelPair) {
   // phases the residual is still a tone — identity stays ambiguous, which is
   // why the engine's read rule also demands exactly one responder per
   // (slot, channel).)
-  const SlotResponder a = responder(1, 0, plan[0], 2.0, amp, 0.0);
-  SlotResponder b = responder(2, 0, plan[0], 2.0, amp, 0.5);
+  const TagReturn a = responder(1, plan[0], 2.0, amp, 0.0);
+  TagReturn b = responder(2, plan[0], 2.0, amp, 0.5);
   b.phase_rad = a.phase_rad;
-  const SlotResponder pair[] = {a, b};
+  const TagReturn pair[] = {a, b};
   jobs = {{0, {pair, 2}}};
-  const auto det_pair = detector.detect(assembler.assemble(jobs, 0, nullptr));
+  const auto det_pair = detector.detect(assembler.assemble(jobs, 0));
   EXPECT_FALSE(det_pair.found);
 }
 
@@ -122,18 +136,17 @@ TEST(InventoryDetect, SuperpositionCorruptsSameChannelPair) {
 // slow-time spectrum: both are detected at their own frequencies.
 TEST(InventoryDetect, DifferentChannelsShareASlot) {
   const SystemConfig base = small_base();
-  const auto alphabet = base.make_alphabet();
   const auto plan = assign_mod_frequencies(8, base.radar.chirp_period_s);
-  SlotFrameAssembler assembler(slot_frame_config(base, alphabet));
+  SlotFrames assembler(base);
   const radar::TagDetector detector(detector_config(plan[0]));
 
-  const SlotResponder a =
-      responder(0, 0, plan[0], 1.8, tag_backscatter_amplitude(base, 1.8), 0.1);
-  const SlotResponder b =
-      responder(1, 5, plan[5], 3.2, tag_backscatter_amplitude(base, 3.2), 0.6);
-  const SlotResponder pair[] = {a, b};
+  const TagReturn a =
+      responder(0, plan[0], 1.8, tag_backscatter_amplitude(base, 1.8), 0.1);
+  const TagReturn b =
+      responder(1, plan[5], 3.2, tag_backscatter_amplitude(base, 3.2), 0.6);
+  const TagReturn pair[] = {a, b};
   const std::vector<SlotJob> jobs = {{0, {pair, 2}}};
-  const auto& aligned = assembler.assemble(jobs, 0, nullptr);
+  const auto& aligned = assembler.assemble(jobs, 0);
 
   const std::vector<radar::TagTarget> targets = {{plan[0], {}}, {plan[5], {}}};
   const auto dets = detector.detect_many(aligned, targets);
@@ -148,16 +161,15 @@ TEST(InventoryDetect, DifferentChannelsShareASlot) {
 // detect_many on each slot synthesized as its own standalone frame.
 TEST(InventoryDetect, DetectSlotsBitwiseMatchesStandaloneSlots) {
   const SystemConfig base = small_base();
-  const auto alphabet = base.make_alphabet();
   const auto plan = assign_mod_frequencies(4, base.radar.chirp_period_s);
   const std::size_t m = 64;
-  SlotFrameAssembler batched(slot_frame_config(base, alphabet, m));
-  SlotFrameAssembler solo(slot_frame_config(base, alphabet, m));
+  SlotFrames batched(base, m);
+  SlotFrames solo(base, m);
   const radar::TagDetector detector(detector_config(plan[0]));
 
-  std::vector<SlotResponder> all;
+  std::vector<TagReturn> all;
   for (std::uint32_t t = 0; t < 5; ++t)
-    all.push_back(responder(t, t % 4, plan[t % 4], 1.5 + 0.8 * t,
+    all.push_back(responder(t, plan[t % 4], 1.5 + 0.8 * t,
                             tag_backscatter_amplitude(base, 1.5 + 0.8 * t),
                             tag::draw_duty_phase(base.seed, t)));
   // Slots 3, 7, 9: singleton / two-channel pair / same-channel pair.
@@ -178,7 +190,7 @@ TEST(InventoryDetect, DetectSlotsBitwiseMatchesStandaloneSlots) {
 
   for (std::size_t s = 0; s < jobs.size(); ++s) {
     const std::vector<SlotJob> one = {jobs[s]};
-    const auto& aligned = solo.assemble(one, 5, nullptr);
+    const auto& aligned = solo.assemble(one, 5);
     const auto want = detector.detect_many(
         aligned, std::span<const radar::TagTarget>(targets.data(), plan.size()));
     for (std::size_t c = 0; c < plan.size(); ++c) {
@@ -197,16 +209,14 @@ TEST(InventoryDetect, DetectSlotsBitwiseMatchesStandaloneSlots) {
 // slots would otherwise fuse both windows into one detection.
 TEST(InventoryDetect, DetectSlotsRejectsOverlappingTargetRuns) {
   const SystemConfig base = small_base();
-  const auto alphabet = base.make_alphabet();
   const auto plan = assign_mod_frequencies(4, base.radar.chirp_period_s);
   const std::size_t m = 64;
-  SlotFrameAssembler assembler(slot_frame_config(base, alphabet, m));
+  SlotFrames assembler(base, m);
   const radar::TagDetector detector(detector_config(plan[0]));
-  const SlotResponder solo = responder(0, 0, plan[0], 2.0,
-                                       tag_backscatter_amplitude(base, 2.0),
-                                       0.25);
+  const TagReturn solo =
+      responder(0, plan[0], 2.0, tag_backscatter_amplitude(base, 2.0), 0.25);
   const std::vector<SlotJob> jobs = {{0, {&solo, 1}}, {1, {&solo, 1}}};
-  const auto& aligned = assembler.assemble(jobs, 0, nullptr);
+  const auto& aligned = assembler.assemble(jobs, 0);
   std::vector<radar::TagTarget> targets;
   for (std::size_t i = 0; i < 2; ++i)
     for (double f : plan) targets.push_back({f, {}});
@@ -355,6 +365,44 @@ TEST(Inventory, BatchedMatchesSequentialReference) {
           << "threads=" << threads << " batch=" << batch;
       expect_rounds_equal(engine.rounds(), reference.rounds());
     }
+  }
+}
+
+// The front end times the inventory's stages into its report, like every
+// other driver's: synthesis, range FFT and IF correction inside the batched
+// slot frame, then detect_slots.
+TEST(Inventory, ReportsFrontEndStageSeconds) {
+  NetworkConfig net = make_inventory_population(12, small_base());
+  net.base.dsp_threads = 1;
+  InventoryEngine engine(net, small_inventory());
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  engine.run_until_drained();
+  obs::set_enabled(was_enabled);
+  double round_s = 0.0;
+  for (const auto& r : engine.rounds()) round_s += r.seconds;
+  const auto report = engine.report();
+  double stage_sum = 0.0;
+  for (const obs::Stage stage : {obs::Stage::kSynthesize, obs::Stage::kRangeFft,
+                                 obs::Stage::kIfCorrect, obs::Stage::kDetect}) {
+    const double s = report.stage_s[static_cast<std::size_t>(stage)];
+    EXPECT_GT(s, 0.0) << obs::stage_name(stage);
+    stage_sum += s;
+  }
+  EXPECT_LE(stage_sum, round_s);
+}
+
+// Inventory frames take the precision branch too: a float32_fast engine
+// drains the same population a double_strict one does.
+TEST(Inventory, DrainsInBothPrecisionTiers) {
+  for (const dsp::Precision tier :
+       {dsp::Precision::kDoubleStrict, dsp::Precision::kFloat32Fast}) {
+    SystemConfig base = small_base();
+    base.precision = tier;
+    InventoryEngine engine(make_inventory_population(64, base),
+                           InventoryConfig{});
+    engine.run_until_drained();
+    EXPECT_EQ(engine.pending(), 0u) << dsp::precision_name(tier);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/json.hpp"
 #include "core/network.hpp"
+#include "dsp/fft.hpp"
 
 namespace bis::core {
 namespace {
@@ -79,6 +80,34 @@ TEST(Network, SensesAllTagsSimultaneously) {
     EXPECT_TRUE(obs[i].detected) << i;
     EXPECT_LT(obs[i].range_error_m, 0.08) << i;
     EXPECT_NEAR(obs[i].range_m, true_ranges[i], 0.1) << i;
+  }
+}
+
+// Network frames take the precision branch: on the same scene, float32_fast
+// makes the same detection decisions as double_strict and places every tag
+// within one range-grid bin of it.
+TEST(Network, Float32FastMatchesDoubleStrictWithinOneBin) {
+  const NetworkConfig strict = three_tag_network();
+  NetworkConfig fast = strict;
+  fast.base.precision = dsp::Precision::kFloat32Fast;
+  BiScatterNetwork strict_net(strict);
+  BiScatterNetwork fast_net(fast);
+
+  // Grid spacing of the fixed sensing chirp's frame: R_max over the
+  // zero-padded FFT length's grid points.
+  const auto alphabet = strict.base.make_alphabet();
+  const rf::ChirpParams chirp = alphabet.chirp(fixed_sensing_slot(alphabet));
+  const double fs = strict.base.radar.if_synth.sample_rate_hz;
+  const auto samples = static_cast<std::size_t>(std::floor(chirp.duration_s * fs));
+  const double bin_m = chirp.max_unambiguous_range(fs) /
+                       static_cast<double>(2 * dsp::next_power_of_two(samples) - 1);
+
+  const auto want = strict_net.sense_all(/*downlink_active=*/false);
+  const auto got = fast_net.sense_all(/*downlink_active=*/false);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].detected, want[i].detected) << i;
+    EXPECT_NEAR(got[i].range_m, want[i].range_m, bin_m) << i;
   }
 }
 
