@@ -138,6 +138,20 @@ std::vector<Row> run_all(SimdTarget best) {
         "kmag", n, iters, best,
         [&](int slot) { kmag(xc, r_out[slot]); g_sink = r_out[slot][0]; },
         [&] { return bits_equal(r_out[0], r_out[1]); }));
+    // kcabs against the loop it replaces: the scalar slot is a per-element
+    // std::abs (libm hypot), the SIMD slot kcabs on the best target, and
+    // parity is kcabs reproducing std::abs's bits (cross-target parity where
+    // the libm is not glibc >= 2.35, see kCabsMatchesStdAbs).
+    rows.push_back(measure(
+        "cabs", n, iters, best,
+        [&](int slot) {
+          if (slot == 0 && kCabsMatchesStdAbs)
+            for (std::size_t i = 0; i < n; ++i) r_out[0][i] = std::abs(xc[i]);
+          else
+            kcabs(xc, r_out[slot]);
+          g_sink = r_out[slot][0];
+        },
+        [&] { return bits_equal(r_out[0], r_out[1]); }));
     rows.push_back(measure(
         "knorm", n, iters, best,
         [&](int slot) { knorm(xc, r_out[slot]); g_sink = r_out[slot][0]; },

@@ -187,6 +187,10 @@ void kmag(std::span<const cdouble> x, std::span<double> out) {
   active().mag(x, out);
 }
 
+void kcabs(std::span<const cdouble> x, std::span<double> out) {
+  active().cabs(x, out);
+}
+
 void knorm(std::span<const cdouble> x, std::span<double> out) {
   active().norm(x, out);
 }

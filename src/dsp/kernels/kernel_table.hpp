@@ -22,6 +22,8 @@ struct KernelTableT {
   using Cplx = std::complex<Real>;
 
   void (*mag)(std::span<const Cplx>, std::span<Real>);
+  /// std::abs bits; double tier only (null in the float32 tables).
+  void (*cabs)(std::span<const Cplx>, std::span<Real>) = nullptr;
   void (*norm)(std::span<const Cplx>, std::span<Real>);
   void (*mag_db)(std::span<const Cplx>, std::span<Real>, Real);
   void (*apply_window_r)(std::span<const Real>, std::span<const Real>,

@@ -89,10 +89,31 @@ bool set_target(std::string_view name);
 // ---------------------------------------------------------------------------
 // Element-wise kernels (bit-identical across targets)
 
-/// out[i] = sqrt(re² + im²). Unlike std::abs, no overflow-hardened hypot
-/// scaling — the DSP path works in O(1) volt/power units where |x|² cannot
-/// overflow, and sqrt/mul/add are correctly rounded on every target.
+/// out[i] = sqrt(re² + im²): no overflow-hardened hypot scaling — the DSP
+/// path works in O(1) volt/power units where |x|² cannot overflow, and
+/// sqrt/mul/add are correctly rounded on every target. Its bits differ from
+/// std::abs on 11–17% of random inputs; callers that need std::abs's bits
+/// use kcabs.
 void kmag(std::span<const cdouble> x, std::span<double> out);
+
+/// out[i] = std::abs(x[i]), bit for bit, with glibc ≥ 2.35's libm (see
+/// kCabsMatchesStdAbs). Lane blocks run glibc's non-FMA hypot kernel
+/// (Borges' corrected sqrt(ax² + ay²), both correction branches computed and
+/// one selected per lane); lanes outside its unscaled range (|x| components
+/// above 2^511 or below 2^-511, zeros included, ay ≤ ax·2^-54, ±inf, NaN)
+/// and the sub-block tail call std::abs. Same operations on every target,
+/// so the output is also bit-identical across targets. Double tier only.
+void kcabs(std::span<const cdouble> x, std::span<double> out);
+
+/// True when the C library's hypot is glibc ≥ 2.35's corrected algorithm,
+/// the one kcabs reproduces. Elsewhere kcabs still agrees across targets,
+/// but may differ from std::abs in the last bit.
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 35))
+inline constexpr bool kCabsMatchesStdAbs = true;
+#else
+inline constexpr bool kCabsMatchesStdAbs = false;
+#endif
 
 /// out[i] = re² + im² (squared magnitude / power).
 void knorm(std::span<const cdouble> x, std::span<double> out);

@@ -38,6 +38,29 @@ struct Avx2Ops {
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V vsqrt(V a) { return _mm256_sqrt_pd(a); }
+  static V vdiv(V a, V b) { return _mm256_div_pd(a, b); }
+  static V vmin(V a, V b) { return _mm256_min_pd(a, b); }
+  static V vmax(V a, V b) { return _mm256_max_pd(a, b); }
+  static V vabs(V a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+
+  using M = __m256d;
+  static M le(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static M lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static M mand(M a, M b) { return _mm256_and_pd(a, b); }
+  static V select(M m, V a, V b) { return _mm256_blendv_pd(b, a, m); }
+  static unsigned bits(M m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
+  }
+
+  static void load_split(const cdouble* p, V& re, V& im) {
+    const double* d = reinterpret_cast<const double*>(p);
+    const __m256d a = _mm256_loadu_pd(d);      // re0 im0 re1 im1
+    const __m256d b = _mm256_loadu_pd(d + 4);  // re2 im2 re3 im3
+    // Lane-wise unpack gives order 0,2,1,3; permute back to element order.
+    constexpr int kOrder = _MM_SHUFFLE(3, 1, 2, 0);
+    re = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), kOrder);
+    im = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), kOrder);
+  }
 
   static double reduce(V a) {
     // (l0 + l1) + (l2 + l3) — the documented lane-blocked combine order.

@@ -46,11 +46,25 @@
 ///                                         vectorized dB conversion:
 ///   V    db_from_norm(V n, V floor)       max(10·log10(n), floor) per lane
 ///                                         (float32 backends only)
+///
+/// Double backends also supply, for cabs:
+///   void load_split(const Cplx* p, V& re, V& im)
+///                                         deinterleave L complex, element
+///                                         order
+///   V    vabs(V), vdiv(V, V), vmin(V, V), vmax(V, V)
+///                                         min/max only ever see non-NaN
+///                                         lanes where their result is used
+///   M                                     lane mask type
+///   M    le(V a, V b), lt(V a, V b)       a ≤ b, a < b (false on NaN)
+///   M    mand(M, M)
+///   V    select(M m, V a, V b)            m ? a : b per lane
+///   unsigned bits(M)                      lane j's flag at bit j
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 
 #include "dsp/kernels/kernel_table.hpp"
 
@@ -76,6 +90,61 @@ void mag(std::span<const CplxOf<Ops>> x, std::span<RealOf<Ops>> out) {
     const RealOf<Ops> re = x[i].real(), im = x[i].imag();
     out[i] = std::sqrt(re * re + im * im);
   }
+}
+
+/// glibc's __hypot range limits (sysdeps/ieee754/dbl-64/e_hypot.c, ≥ 2.35):
+/// inside them, and with ay > ax·2^-54, it returns its unscaled kernel.
+inline constexpr double kHypotLarge = 0x1p+511;
+inline constexpr double kHypotTiny = 0x1p-511;
+inline constexpr double kHypotEps = 0x1p-54;
+
+/// std::abs(x[i]) lane for lane: glibc's non-FMA hypot kernel (Borges,
+/// "An Improved Algorithm for hypot(a,b)", 2019) is sqrt, mul, add, sub,
+/// div and one compare, so it runs on a lane block with both of its
+/// correction branches computed and the h ≤ 2·ay compare selecting one.
+/// Lanes glibc routes elsewhere (ax > 2^511, ay < 2^-511 — zeros included —
+/// ay ≤ ax·2^-54, ±inf, NaN) and the sub-block tail call std::abs itself.
+template <typename Ops>
+void cabs(std::span<const cdouble> x, std::span<double> out) {
+  using V = typename Ops::V;
+  constexpr unsigned kAll = (1u << Ops::kLanes) - 1;
+  const std::size_t n = x.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  const V large = Ops::bcast(kHypotLarge), tiny = Ops::bcast(kHypotTiny);
+  const V eps = Ops::bcast(kHypotEps);
+  const V two = Ops::bcast(2.0), four = Ops::bcast(4.0);
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    V re, im;
+    Ops::load_split(x.data() + i, re, im);
+    re = Ops::vabs(re);
+    im = Ops::vabs(im);
+    const V ax = Ops::vmax(re, im), ay = Ops::vmin(re, im);
+    // |re|, |im| ≤ 2^511 is false for NaN and ±inf as well.
+    const auto in_range = Ops::mand(Ops::le(re, large), Ops::le(im, large));
+    const auto ay_ok =
+        Ops::mand(Ops::le(tiny, ay), Ops::lt(Ops::mul(ax, eps), ay));
+    const unsigned fast = Ops::bits(Ops::mand(in_range, ay_ok));
+    const V h = Ops::vsqrt(Ops::add(Ops::mul(ax, ax), Ops::mul(ay, ay)));
+    const V ay2 = Ops::mul(two, ay);
+    // h ≤ 2·ay: δ = h − ay, t1 = ax·(2δ − ax), t2 = (δ − 2(ax − ay))·δ.
+    const V dn = Ops::sub(h, ay);
+    const V t1n = Ops::mul(ax, Ops::sub(Ops::mul(two, dn), ax));
+    const V t2n =
+        Ops::mul(Ops::sub(dn, Ops::mul(two, Ops::sub(ax, ay))), dn);
+    // Otherwise: δ = h − ax, t1 = 2δ·(ax − 2ay), t2 = (4δ − ay)·ay + δ·δ.
+    const V df = Ops::sub(h, ax);
+    const V t1f = Ops::mul(Ops::mul(two, df), Ops::sub(ax, ay2));
+    const V t2f = Ops::add(Ops::mul(Ops::sub(Ops::mul(four, df), ay), ay),
+                           Ops::mul(df, df));
+    const auto near = Ops::le(h, ay2);
+    const V t =
+        Ops::add(Ops::select(near, t1n, t1f), Ops::select(near, t2n, t2f));
+    Ops::store(out.data() + i, Ops::sub(h, Ops::vdiv(t, Ops::mul(two, h))));
+    if (fast != kAll)
+      for (std::size_t j = 0; j < Ops::kLanes; ++j)
+        if (!(fast >> j & 1u)) out[i + j] = std::abs(x[i + j]);
+  }
+  for (std::size_t i = nL; i < n; ++i) out[i] = std::abs(x[i]);
 }
 
 template <typename Ops>
@@ -576,6 +645,7 @@ template <typename Ops>
 detail::KernelTableT<RealOf<Ops>> make_table() {
   detail::KernelTableT<RealOf<Ops>> t;
   t.mag = &mag<Ops>;
+  if constexpr (std::is_same_v<RealOf<Ops>, double>) t.cabs = &cabs<Ops>;
   t.norm = &norm<Ops>;
   t.mag_db = &mag_db<Ops>;
   t.apply_window_r = &apply_window_r<Ops>;

@@ -44,6 +44,50 @@ struct ScalarOps {
     return {{std::sqrt(a.l[0]), std::sqrt(a.l[1]), std::sqrt(a.l[2]),
              std::sqrt(a.l[3])}};
   }
+  static V vdiv(V a, V b) {
+    return {{a.l[0] / b.l[0], a.l[1] / b.l[1], a.l[2] / b.l[2], a.l[3] / b.l[3]}};
+  }
+  static V vmin(V a, V b) {
+    V out;
+    for (int i = 0; i < 4; ++i) out.l[i] = a.l[i] < b.l[i] ? a.l[i] : b.l[i];
+    return out;
+  }
+  static V vmax(V a, V b) {
+    V out;
+    for (int i = 0; i < 4; ++i) out.l[i] = a.l[i] < b.l[i] ? b.l[i] : a.l[i];
+    return out;
+  }
+  static V vabs(V a) {
+    return {{std::fabs(a.l[0]), std::fabs(a.l[1]), std::fabs(a.l[2]),
+             std::fabs(a.l[3])}};
+  }
+
+  using M = unsigned;  // lane j's flag at bit j
+  static M le(V a, V b) {
+    M m = 0;
+    for (int i = 0; i < 4; ++i) m |= static_cast<M>(a.l[i] <= b.l[i]) << i;
+    return m;
+  }
+  static M lt(V a, V b) {
+    M m = 0;
+    for (int i = 0; i < 4; ++i) m |= static_cast<M>(a.l[i] < b.l[i]) << i;
+    return m;
+  }
+  static M mand(M a, M b) { return a & b; }
+  static V select(M m, V a, V b) {
+    V out;
+    for (int i = 0; i < 4; ++i) out.l[i] = (m >> i & 1u) ? a.l[i] : b.l[i];
+    return out;
+  }
+  static unsigned bits(M m) { return m; }
+
+  static void load_split(const cdouble* p, V& re, V& im) {
+    for (int i = 0; i < 4; ++i) {
+      re.l[i] = p[i].real();
+      im.l[i] = p[i].imag();
+    }
+  }
+
   static double reduce(V a) { return (a.l[0] + a.l[1]) + (a.l[2] + a.l[3]); }
   // Normative tier: a·b + c with separate multiply and add (this TU compiles
   // with -ffp-contract=off, so no fusion can sneak in).

@@ -49,6 +49,47 @@ struct Sse2Ops {
     return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
   }
   static V vsqrt(V a) { return {_mm_sqrt_pd(a.lo), _mm_sqrt_pd(a.hi)}; }
+  static V vdiv(V a, V b) {
+    return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
+  }
+  static V vmin(V a, V b) {
+    return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
+  }
+  static V vmax(V a, V b) {
+    return {_mm_max_pd(a.lo, b.lo), _mm_max_pd(a.hi, b.hi)};
+  }
+  static V vabs(V a) {
+    const __m128d sign = _mm_set1_pd(-0.0);
+    return {_mm_andnot_pd(sign, a.lo), _mm_andnot_pd(sign, a.hi)};
+  }
+
+  using M = V;  // all-ones / all-zeros lanes
+  static M le(V a, V b) {
+    return {_mm_cmple_pd(a.lo, b.lo), _mm_cmple_pd(a.hi, b.hi)};
+  }
+  static M lt(V a, V b) {
+    return {_mm_cmplt_pd(a.lo, b.lo), _mm_cmplt_pd(a.hi, b.hi)};
+  }
+  static M mand(M a, M b) {
+    return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
+  }
+  static V select(M m, V a, V b) {
+    // SSE2 has no blend: (m & a) | (~m & b).
+    return {_mm_or_pd(_mm_and_pd(m.lo, a.lo), _mm_andnot_pd(m.lo, b.lo)),
+            _mm_or_pd(_mm_and_pd(m.hi, a.hi), _mm_andnot_pd(m.hi, b.hi))};
+  }
+  static unsigned bits(M m) {
+    return static_cast<unsigned>(_mm_movemask_pd(m.lo) |
+                                 (_mm_movemask_pd(m.hi) << 2));
+  }
+
+  static void load_split(const cdouble* p, V& re, V& im) {
+    const double* d = reinterpret_cast<const double*>(p);
+    const __m128d c0 = _mm_loadu_pd(d), c1 = _mm_loadu_pd(d + 2);
+    const __m128d c2 = _mm_loadu_pd(d + 4), c3 = _mm_loadu_pd(d + 6);
+    re = {_mm_unpacklo_pd(c0, c1), _mm_unpacklo_pd(c2, c3)};
+    im = {_mm_unpackhi_pd(c0, c1), _mm_unpackhi_pd(c2, c3)};
+  }
 
   static double reduce(V a) {
     // (l0 + l1) + (l2 + l3) — the documented lane-blocked combine order.

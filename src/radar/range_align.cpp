@@ -17,9 +17,11 @@ dsp::RVec AlignedProfiles::column_magnitude(std::size_t bin) const {
 }
 
 void AlignedProfiles::column_magnitude(std::size_t bin, std::span<double> out) const {
-  BIS_CHECK(bin < n_bins());
   BIS_CHECK(out.size() == rows.size());
-  for (std::size_t m = 0; m < rows.size(); ++m) out[m] = std::abs(rows[m][bin]);
+  thread_local dsp::CVec col;
+  col.resize(rows.size());
+  column(bin, col);
+  dsp::kernels::kcabs(col, out);
 }
 
 dsp::CVec AlignedProfiles::column(std::size_t bin) const {

@@ -27,10 +27,12 @@ struct AlignedProfiles {
   std::size_t n_chirps() const { return rows.size(); }
   std::size_t n_bins() const { return range_grid.size(); }
 
-  /// Magnitude of one slow-time column (fixed grid bin across chirps).
+  /// Magnitude of one slow-time column (fixed grid bin across chirps):
+  /// std::abs's bits, through kernels::kcabs.
   dsp::RVec column_magnitude(std::size_t bin) const;
 
-  /// Allocation-free overload: writes into @p out (size n_chirps()).
+  /// Writes into @p out (size n_chirps()); the column is gathered into
+  /// per-thread scratch, so steady-state calls do not allocate.
   void column_magnitude(std::size_t bin, std::span<double> out) const;
 
   /// Complex slow-time column.

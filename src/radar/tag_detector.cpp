@@ -189,12 +189,14 @@ const StripPlan<Real>* strip_plans(std::span<const SlotSpan> windows,
 /// Slow-time power spectra of a strip of grid bins over chirps
 /// [first, first+plan.count): power[k·L + j] is bin k of bins[j]'s
 /// one-sided spectrum (L = bins.size(), k ≤ n_fft/2), in per-thread scratch.
-/// The corner turn reads each chirp row once across the strip; |·|, mean
+/// The scored bins are a suffix of the ascending grid, so a strip is one
+/// contiguous run of each chirp row: the corner turn takes |·| of that run
+/// with kcabs (std::abs's bits) straight into the strip's row. |·|, mean
 /// removal and Hann are per lane the one-bin chain's operations in its
 /// order, and rfft_padded_strip/knorm are bit-identical per lane to
 /// rfft_padded_into/knorm, so in double_strict bin j's spectrum is exactly
 /// what a one-bin transform of its column gives. float32_fast runs the same
-/// chain in float (|·| via float norm + sqrt).
+/// chain in float (|·| as sqrt of the double knorm cast to float).
 template <typename Real>
 std::span<const Real> strip_power(const AlignedProfiles& profiles,
                                   std::span<const std::uint32_t> bins,
@@ -204,19 +206,24 @@ std::span<const Real> strip_power(const AlignedProfiles& profiles,
   const std::size_t lanes = bins.size();
   const std::size_t count = plan.count;
   BIS_CHECK(first + count <= profiles.n_chirps());
+  BIS_CHECK(lanes > 0 && bins.back() - bins.front() + 1 == lanes);
   thread_local Vec x, mean, re, im;
   x.resize(count * lanes);
   mean.assign(lanes, Real(0));
   for (std::size_t m = 0; m < count; ++m) {
-    const dsp::cdouble* row = profiles.rows[first + m].data();
+    const std::span<const dsp::cdouble> run(
+        profiles.rows[first + m].data() + bins.front(), lanes);
     Real* xm = x.data() + m * lanes;
-    for (std::size_t j = 0; j < lanes; ++j) {
-      if constexpr (std::is_same_v<Real, float>)
-        xm[j] = std::sqrt(static_cast<float>(std::norm(row[bins[j]])));
-      else
-        xm[j] = std::abs(row[bins[j]]);
-      mean[j] += xm[j];
+    if constexpr (std::is_same_v<Real, float>) {
+      thread_local dsp::RVec norm;
+      norm.resize(lanes);
+      dsp::kernels::knorm(run, norm);
+      for (std::size_t j = 0; j < lanes; ++j)
+        xm[j] = std::sqrt(static_cast<float>(norm[j]));
+    } else {
+      dsp::kernels::kcabs(run, std::span<double>(xm, lanes));
     }
+    for (std::size_t j = 0; j < lanes; ++j) mean[j] += xm[j];
   }
   // Static clutter residue is DC in slow time; remove the mean before the
   // FFT so the modulation tone dominates.

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -232,6 +234,96 @@ TEST_F(SimdKernels, ElementwiseKernelsMatchReferenceOnAllTargets) {
   }
 }
 
+namespace {
+
+/// Inputs for kcabs: random pairs with exponents in ±40 and random signs,
+/// mixed with every class glibc's hypot treats apart, shuffled so each class
+/// lands in every lane of a block.
+CVec cabs_inputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const auto up = [](double v) { return std::nextafter(v, 1e308); };
+  const auto down = [](double v) { return std::nextafter(v, 0.0); };
+  std::vector<cdouble> v = {
+      // ±0, one component zero, equal components.
+      {0.0, 0.0}, {-0.0, 0.0}, {0.0, -0.0}, {-0.0, -0.0}, {0.75, 0.0},
+      {0.0, -3.5}, {-0.0, 1e-300}, {2.5, 2.5}, {-1e-7, 1e-7},
+      // Subnormals.
+      {sub, 0.0}, {sub, 1.0}, {3e-310, 4e-310}, {1e-310, 1e-300},
+      // ax on both sides of 2^511, ay on both sides of 2^-511.
+      {0x1p511, 1.0}, {up(0x1p511), 1.0}, {down(0x1p511), 0x1p500},
+      {0x1p-511, 0x1p-500}, {down(0x1p-511), 0x1p-500},
+      {up(0x1p-511), 0x1p-500}, {0x1p-511, 0x1p-511}, {1e308, 1e308},
+      // Infinities and NaNs, alone and together.
+      {inf, 1.0}, {1.0, -inf}, {nan, 1.0}, {1.0, nan}, {inf, nan},
+      {nan, -inf}, {nan, nan}};
+  // ay on both sides of ax·2^-54 (exact: a power-of-two scale).
+  for (double ax : {1.3, 0.9, 7.1e-3}) {
+    const double edge = ax * 0x1p-54;
+    v.insert(v.end(), {{ax, edge}, {ax, up(edge)}, {-down(edge), ax}});
+  }
+  // h on both sides of 2·ay: the branch boundary sits near ay = ax/√3.
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    const double ax = std::ldexp(1.0 + std::abs(det(k + 500)), int(k % 9) - 4);
+    double ay = ax / std::sqrt(3.0);
+    for (int step = 0; step < 4; ++step) ay = down(ay);
+    for (int step = 0; step < 9; ++step, ay = up(ay)) v.push_back({ax, ay});
+  }
+  for (std::uint64_t k = 0; k < 4000; ++k) {
+    const auto part = [&](std::uint64_t i) {
+      const double m = det(i);
+      const int e = static_cast<int>(std::bit_cast<std::uint64_t>(m) % 81) - 40;
+      return std::ldexp(m, e);
+    };
+    v.push_back({part(2 * k + 7000), part(2 * k + 7001)});
+  }
+  // Deterministic Fisher-Yates shuffle.
+  for (std::size_t i = v.size() - 1; i > 0; --i)
+    std::swap(v[i], v[std::bit_cast<std::uint64_t>(det(i + 20000)) % (i + 1)]);
+  return CVec(v.begin(), v.end());
+}
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+}  // namespace
+
+TEST_F(SimdKernels, CabsMatchesStdAbsBitForBit) {
+  // Every length 0–37 (full blocks plus each tail length), at offsets that
+  // walk the whole input pool, on every target.
+  const CVec pool = cabs_inputs();
+  RVec want(pool.size());
+  set_target(SimdTarget::kScalar);
+  if (kCabsMatchesStdAbs)
+    for (std::size_t i = 0; i < pool.size(); ++i) want[i] = std::abs(pool[i]);
+  else
+    kcabs(pool, want);
+  for (SimdTarget t : available_targets()) {
+    ASSERT_TRUE(set_target(t));
+    SCOPED_TRACE(target_name(t));
+    RVec got(pool.size());
+    kcabs(pool, got);
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      ASSERT_TRUE(same_bytes({&got[i], 1}, {&want[i], 1}))
+          << "x = (" << pool[i].real() << ", " << pool[i].imag() << "): "
+          << got[i] << " vs " << want[i];
+    for (std::size_t n = 0; n <= 37; ++n) {
+      for (std::size_t off = 0; off + n <= pool.size(); off += n + 3) {
+        RVec out(n);
+        kcabs(std::span<const cdouble>(pool).subspan(off, n), out);
+        const auto ref = std::span<const double>(want).subspan(off, n);
+        ASSERT_TRUE(same_bytes(out, ref)) << "n=" << n << " off=" << off;
+      }
+    }
+  }
+  if (!kCabsMatchesStdAbs)
+    GTEST_SKIP() << "libm is not glibc >= 2.35: kcabs was checked for "
+                    "cross-target parity only, not against std::abs";
+}
+
 TEST_F(SimdKernels, ReductionsMatchLaneBlockedReferenceOnAllTargets) {
   for (SimdTarget t : available_targets()) {
     ASSERT_TRUE(set_target(t));
@@ -361,6 +453,7 @@ TEST_F(SimdKernels, EmptySpansAreNoOps) {
     EXPECT_EQ(ksum_sq(std::span<const cdouble>()), 0.0);
     EXPECT_EQ(kdot(std::span<const double>(), std::span<const double>()), 0.0);
     kmag(std::span<const cdouble>(), std::span<double>());
+    kcabs(std::span<const cdouble>(), std::span<double>());
     knorm(std::span<const cdouble>(), std::span<double>());
     kscale(std::span<double>(), 2.0);
     kgoertzel(std::span<const double>(), std::span<const double>(),
